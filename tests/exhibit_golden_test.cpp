@@ -102,8 +102,7 @@ std::string dumpExhibit(const char *Source, bool Transformed = false,
 
 // Paper Listing 3 / Fig. 3: parallel for schedule(static) including the
 // CapturedStmt machinery.
-TEST(ExhibitGolden, AstDumpParallelForStatic) {
-  const char *Source = R"(
+const char *const ParallelForSource = R"(
 void body(int i);
 void f() {
   #pragma omp parallel for schedule(static)
@@ -111,15 +110,16 @@ void f() {
     body(i);
 }
 )";
+
+TEST(ExhibitGolden, AstDumpParallelForStatic) {
   compareWithGolden(
       "astdump_parallel_for",
-      dumpExhibit<OMPParallelForDirective>(Source));
+      dumpExhibit<OMPParallelForDirective>(ParallelForSource));
 }
 
 // Paper Listing 6: the shadow-AST stack of unroll full over
 // unroll partial(2).
-TEST(ExhibitGolden, ShadowAstUnrollStack) {
-  const char *Source = R"(
+const char *const UnrollStackSource = R"(
 void body(int i);
 void f() {
   #pragma omp unroll full
@@ -128,14 +128,15 @@ void f() {
     body(i);
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstUnrollStack) {
   compareWithGolden("shadow_unroll_stack",
-                    dumpExhibit<OMPUnrollDirective>(Source));
+                    dumpExhibit<OMPUnrollDirective>(UnrollStackSource));
 }
 
 // Paper Listing 8 (Fig. 8): the transformed shadow AST of a partial
 // unroll — strip-mined loop plus LoopHintAttr.
-TEST(ExhibitGolden, ShadowAstUnrollTransformed) {
-  const char *Source = R"(
+const char *const UnrollPartialSource = R"(
 void body(int i);
 void f() {
   #pragma omp unroll partial(2)
@@ -143,16 +144,17 @@ void f() {
     body(i);
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstUnrollTransformed) {
   compareWithGolden(
       "shadow_unroll_transformed",
-      dumpExhibit<OMPUnrollDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPUnrollDirective>(UnrollPartialSource, /*Transformed=*/true));
 }
 
 // The reverse directive's shadow AST: the generated loop runs the same
 // logical iterations backwards. The body is call-free array arithmetic
 // so the dependence legality oracle admits the transformation.
-TEST(ExhibitGolden, ShadowAstReverseTransformed) {
-  const char *Source = R"(
+const char *const ReverseSource = R"(
 void f() {
   int a[32];
   #pragma omp reverse
@@ -160,15 +162,16 @@ void f() {
     a[i] = a[i] + i;
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstReverseTransformed) {
   compareWithGolden(
       "shadow_reverse_transformed",
-      dumpExhibit<OMPReverseDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPReverseDirective>(ReverseSource, /*Transformed=*/true));
 }
 
 // The interchange counterpart: permutation(2, 1) swaps a dependence-free
 // 2-D nest with an injective subscript.
-TEST(ExhibitGolden, ShadowAstInterchangeTransformed) {
-  const char *Source = R"(
+const char *const InterchangeSource = R"(
 void f() {
   int a[512];
   #pragma omp interchange permutation(2, 1)
@@ -177,15 +180,16 @@ void f() {
       a[i * 32 + j] = a[i * 32 + j] * 2;
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstInterchangeTransformed) {
   compareWithGolden(
       "shadow_interchange_transformed",
-      dumpExhibit<OMPInterchangeDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPInterchangeDirective>(InterchangeSource, /*Transformed=*/true));
 }
 
 // The tile counterpart: the shadow AST a tile directive constructs
 // (floor + tile loop nest) for a 2-D sizes clause.
-TEST(ExhibitGolden, ShadowAstTileTransformed) {
-  const char *Source = R"(
+const char *const TileSource = R"(
 void body(int i, int j);
 void f() {
   #pragma omp tile sizes(4, 8)
@@ -194,16 +198,17 @@ void f() {
       body(i, j);
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstTileTransformed) {
   compareWithGolden(
       "shadow_tile_transformed",
-      dumpExhibit<OMPTileDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPTileDirective>(TileSource, /*Transformed=*/true));
 }
 
 // The fuse directive's shadow AST: two adjacent sibling loops rewritten
 // into one loop whose body runs both members per shared iteration, the
 // shorter member guarded by its own trip count.
-TEST(ExhibitGolden, ShadowAstFuseTransformed) {
-  const char *Source = R"(
+const char *const FuseSource = R"(
 void f() {
   int a[64];
   int b[64];
@@ -216,15 +221,16 @@ void f() {
   }
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstFuseTransformed) {
   compareWithGolden(
       "shadow_fuse_transformed",
-      dumpExhibit<OMPFuseDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPFuseDirective>(FuseSource, /*Transformed=*/true));
 }
 
 // The distribute_loop counterpart: one loop split into per-statement-
 // group loops (legal here — the inter-group dependence is forward).
-TEST(ExhibitGolden, ShadowAstDistributeTransformed) {
-  const char *Source = R"(
+const char *const DistributeSource = R"(
 void f() {
   int a[64];
   int b[64];
@@ -235,16 +241,17 @@ void f() {
   }
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstDistributeTransformed) {
   compareWithGolden(
       "shadow_distribute_transformed",
-      dumpExhibit<OMPDistributeLoopDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPDistributeLoopDirective>(DistributeSource, /*Transformed=*/true));
 }
 
 // Composition in the style of the paper's stacked-directive discussion:
 // the first fuse member is itself a tile directive, so the fuse shadow is
 // built over the tile's post-transform loop.
-TEST(ExhibitGolden, ShadowAstFuseAfterTileTransformed) {
-  const char *Source = R"(
+const char *const FuseAfterTileSource = R"(
 void f() {
   int a[64];
   int b[64];
@@ -258,9 +265,68 @@ void f() {
   }
 }
 )";
+
+TEST(ExhibitGolden, ShadowAstFuseAfterTileTransformed) {
   compareWithGolden(
       "shadow_fuse_after_tile",
-      dumpExhibit<OMPFuseDirective>(Source, /*Transformed=*/true));
+      dumpExhibit<OMPFuseDirective>(FuseAfterTileSource, /*Transformed=*/true));
 }
+
+// The lowering of every exhibit is pinned as well: the printed IR in both
+// pipelines, and the IRBuilder-mode AST, whose associated statements are
+// OMPCanonicalLoop wrappers instead of shadow subtrees.
+struct Exhibit {
+  const char *Name;
+  const char *Source;
+};
+
+const Exhibit Exhibits[] = {
+    {"parallel_for", ParallelForSource},
+    {"unroll_stack", UnrollStackSource},
+    {"unroll_partial", UnrollPartialSource},
+    {"reverse", ReverseSource},
+    {"interchange", InterchangeSource},
+    {"tile", TileSource},
+    {"fuse", FuseSource},
+    {"distribute", DistributeSource},
+    {"fuse_after_tile", FuseAfterTileSource},
+};
+
+std::string emitExhibitIR(const char *Source, bool IRBuilderMode) {
+  CompilerOptions Options;
+  Options.LangOpts.OpenMPEnableIRBuilder = IRBuilderMode;
+  CompilerInstance CI(Options);
+  if (!CI.compileSource(Source)) {
+    ADD_FAILURE() << CI.renderDiagnostics();
+    return {};
+  }
+  return CI.getIRText();
+}
+
+class ExhibitLowering : public ::testing::TestWithParam<Exhibit> {};
+
+TEST_P(ExhibitLowering, LegacyIR) {
+  compareWithGolden(std::string("ir_legacy_") + GetParam().Name,
+                    emitExhibitIR(GetParam().Source, false));
+}
+
+TEST_P(ExhibitLowering, IRBuilderIR) {
+  compareWithGolden(std::string("ir_irbuilder_") + GetParam().Name,
+                    emitExhibitIR(GetParam().Source, true));
+}
+
+TEST_P(ExhibitLowering, IRBuilderCanonicalLoopAst) {
+  compareWithGolden(
+      std::string("astdump_irbuilder_") + GetParam().Name,
+      dumpExhibit<OMPLoopBasedDirective>(GetParam().Source,
+                                         /*Transformed=*/false,
+                                         /*IRBuilderMode=*/true));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExhibitGolden, ExhibitLowering, ::testing::ValuesIn(Exhibits),
+    [](const ::testing::TestParamInfo<Exhibit> &Info) {
+      return std::string(Info.param.Name);
+    });
 
 } // namespace
