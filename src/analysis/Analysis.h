@@ -131,8 +131,8 @@ bool verifyLoopTransformation(OMPLoopTransformationDirective *Dir,
 
 /// Strips CapturedStmt, OMPCanonicalLoop and single-statement CompoundStmt
 /// wrappers (the layers Sema may interpose between a directive and its
-/// associated loop).
-Stmt *skipLoopWrappers(Stmt *S);
+/// associated loop); defined once, in the AST library.
+using mcc::skipLoopWrappers;
 
 /// The induction variable of a canonical-looking for loop: declared by the
 /// init ('T var = lb') or assigned by it ('var = lb'). Null if the init

@@ -62,26 +62,6 @@ std::string registerAnalysesByName(AnalysisManager &AM,
   return {};
 }
 
-Stmt *skipLoopWrappers(Stmt *S) {
-  for (;;) {
-    if (auto *Cap = stmt_dyn_cast<CapturedStmt>(S)) {
-      S = Cap->getCapturedStmt();
-      continue;
-    }
-    if (auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(S)) {
-      S = CL->getLoopStmt();
-      continue;
-    }
-    if (auto *CS = stmt_dyn_cast<CompoundStmt>(S)) {
-      if (CS->size() == 1) {
-        S = CS->body()[0];
-        continue;
-      }
-    }
-    return S;
-  }
-}
-
 VarDecl *getLoopIterationVar(const ForStmt *Loop) {
   Stmt *Init = Loop->getInit();
   if (!Init)

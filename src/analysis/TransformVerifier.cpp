@@ -37,44 +37,13 @@ std::string dirName(const OMPLoopTransformationDirective *Dir) {
   return std::string(getOpenMPDirectiveName(Dir->getDirectiveKind()));
 }
 
-/// Resolves a statement to the for loop it contributes, unwrapping
-/// captures, canonical-loop wrappers, single-statement compounds, and
-/// transformation directives (through their transformed statement, as Sema
-/// does). Returns null if no for loop results; \p Deferred is set when an
-/// IRBuilder-mode transformation with no shadow blocks further walking.
-ForStmt *resolveToForLoop(Stmt *Cur, bool &Deferred) {
-  for (;;) {
-    if (auto *Cap = stmt_dyn_cast<CapturedStmt>(Cur)) {
-      Cur = Cap->getCapturedStmt();
-    } else if (auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(Cur)) {
-      Cur = CL->getLoopStmt();
-    } else if (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-      if (CS->size() != 1)
-        return nullptr;
-      Cur = CS->body()[0];
-    } else if (auto *TD =
-                   stmt_dyn_cast<OMPLoopTransformationDirective>(Cur)) {
-      if (!TD->getTransformedStmt()) {
-        Deferred = true;
-        return nullptr;
-      }
-      Cur = TD->getTransformedStmt();
-    } else {
-      break;
-    }
-  }
-  return stmt_dyn_cast<ForStmt>(Cur);
-}
-
 /// fuse associates with a statement sequence, not a nest: every member of
 /// the looprange must resolve to a for loop (possibly the generated loop
 /// of a preceding transformation).
 bool verifyFuseSequence(const OMPFuseDirective *Fuse,
                         DiagnosticsEngine &Diags) {
-  Stmt *Assoc = Fuse->getAssociatedStmt();
-  if (auto *Cap = stmt_dyn_cast<CapturedStmt>(Assoc))
-    Assoc = Cap->getCapturedStmt();
-  auto *CS = stmt_dyn_cast<CompoundStmt>(Assoc);
+  auto *CS = stmt_dyn_cast<CompoundStmt>(
+      skipLoopWrappers(Fuse->getAssociatedStmt()));
   unsigned First = Fuse->getFirstLoopIndex();
   unsigned Count = Fuse->getLoopsNumber();
   if (!CS || CS->size() < First + Count)
@@ -83,8 +52,11 @@ bool verifyFuseSequence(const OMPFuseDirective *Fuse,
         "'fuse' must be associated with a statement sequence containing "
         "its looprange");
   for (unsigned K = 0; K < Count; ++K) {
-    bool Deferred = false;
-    if (!resolveToForLoop(CS->body()[First + K], Deferred) && !Deferred)
+    // A member may be the generated loop of a preceding transformation;
+    // an IRBuilder-mode member (no generated loop yet) is not checked.
+    Stmt *Member = skipToGeneratedLoop(CS->body()[First + K]);
+    if (!stmt_dyn_cast<ForStmt>(Member) &&
+        !stmt_dyn_cast<OMPLoopTransformationDirective>(Member))
       return reportVerifierError(
           Fuse, Diags,
           "fused member " + std::to_string(K + 1) +
@@ -101,33 +73,20 @@ bool verifyPerfectNesting(const OMPLoopTransformationDirective *Dir,
   Stmt *Cur = Dir->getAssociatedStmt();
   unsigned N = Dir->getLoopsNumber();
   for (unsigned Depth = 0; Depth < N; ++Depth) {
-    for (;;) {
-      if (auto *Cap = stmt_dyn_cast<CapturedStmt>(Cur)) {
-        Cur = Cap->getCapturedStmt();
-      } else if (auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(Cur)) {
-        Cur = CL->getLoopStmt();
-      } else if (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-        if (CS->size() != 1) {
-          std::string Msg = "'";
-          Msg += dirName(Dir);
-          Msg += "' requires a perfectly nested loop nest of depth ";
-          Msg += std::to_string(N);
-          Msg += ", but the block at depth ";
-          Msg += std::to_string(Depth);
-          Msg += " contains ";
-          Msg += std::to_string(CS->size());
-          Msg += " statements";
-          return reportVerifierError(Dir, Diags, Msg);
-        }
-        Cur = CS->body()[0];
-      } else if (auto *TD =
-                     stmt_dyn_cast<OMPLoopTransformationDirective>(Cur)) {
-        if (!TD->getTransformedStmt())
-          return true; // IRBuilder mode: nothing further to verify here
-        Cur = TD->getTransformedStmt();
-      } else {
-        break;
-      }
+    Cur = skipToGeneratedLoop(Cur);
+    if (stmt_dyn_cast<OMPLoopTransformationDirective>(Cur))
+      return true; // IRBuilder mode: nothing further to verify here
+    if (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
+      std::string Msg = "'";
+      Msg += dirName(Dir);
+      Msg += "' requires a perfectly nested loop nest of depth ";
+      Msg += std::to_string(N);
+      Msg += ", but the block at depth ";
+      Msg += std::to_string(Depth);
+      Msg += " contains ";
+      Msg += std::to_string(CS->size());
+      Msg += " statements";
+      return reportVerifierError(Dir, Diags, Msg);
     }
     auto *For = stmt_dyn_cast<ForStmt>(Cur);
     if (!For) {
@@ -145,14 +104,10 @@ bool verifyPerfectNesting(const OMPLoopTransformationDirective *Dir,
   return true;
 }
 
-/// The next spine loop of a generated nest: unwraps single-statement
-/// compounds only (the generated spine has no other wrappers).
+/// The next spine loop of a generated nest (whose only wrappers are
+/// single-statement compounds).
 ForStmt *nextSpineLoop(Stmt *&Cur) {
-  while (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-    if (CS->size() != 1)
-      return nullptr;
-    Cur = CS->body()[0];
-  }
+  Cur = skipLoopWrappers(Cur);
   if (auto *For = stmt_dyn_cast<ForStmt>(Cur)) {
     Cur = For->getBody();
     return For;
@@ -217,12 +172,7 @@ bool verifyUnrollSpine(const OMPUnrollDirective *Unroll,
                                "'unroll partial' must generate a "
                                "strip-mined outer loop ('unrolled.iv.*')");
 
-  while (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-    if (CS->size() != 1)
-      break;
-    Cur = CS->body()[0];
-  }
-  auto *Attributed = stmt_dyn_cast<AttributedStmt>(Cur);
+  auto *Attributed = stmt_dyn_cast<AttributedStmt>(skipLoopWrappers(Cur));
   const LoopHintAttr *Hint = nullptr;
   if (Attributed)
     for (const Attr *A : Attributed->getAttrs())

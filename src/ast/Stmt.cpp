@@ -206,6 +206,34 @@ Stmt *OMPExecutableDirective::getInnermostAssociatedStmt() const {
   return S;
 }
 
+Stmt *skipLoopWrappers(Stmt *S, bool KeepCanonicalLoop) {
+  for (;;) {
+    if (auto *Cap = stmt_dyn_cast<CapturedStmt>(S))
+      S = Cap->getCapturedStmt();
+    else if (auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(S);
+             CL && !KeepCanonicalLoop)
+      S = CL->getLoopStmt();
+    else if (auto *CS = stmt_dyn_cast<CompoundStmt>(S); CS && CS->size() == 1)
+      S = CS->body()[0];
+    else
+      return S;
+  }
+}
+
+Stmt *skipToGeneratedLoop(
+    Stmt *S,
+    const std::function<void(OMPLoopTransformationDirective *)> &OnTransform) {
+  for (;;) {
+    S = skipLoopWrappers(S);
+    auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(S);
+    if (!TD || !TD->getTransformedStmt())
+      return S;
+    if (OnTransform)
+      OnTransform(TD);
+    S = TD->getTransformedStmt();
+  }
+}
+
 const char *getCastKindName(CastKind CK) {
   switch (CK) {
   case CastKind::LValueToRValue:

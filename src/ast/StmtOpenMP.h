@@ -32,6 +32,8 @@
 #include "ast/OpenMPKinds.h"
 #include "ast/Stmt.h"
 
+#include <functional>
+
 namespace mcc {
 
 /// Base class for all OpenMP directives that may appear wherever a base
@@ -349,6 +351,14 @@ public:
   [[nodiscard]] Stmt *getPreInits() const { return PreInits; }
   void setPreInits(Stmt *S) { PreInits = S; }
 
+  /// How many loops of the generated nest a consuming directive may
+  /// associate with: tile sizes(n) exposes its n floor loops, interchange
+  /// of n loops exposes n, unroll partial (or heuristic, once consumed),
+  /// reverse and fuse expose one, and full unroll and distribute_loop (a
+  /// loop *sequence*) none. Both pipelines hold a consuming directive to
+  /// this count.
+  [[nodiscard]] unsigned getNumGeneratedLoops() const;
+
   static bool classof(const Stmt *S) {
     return S->getStmtClass() == StmtClass::OMPTileDirective ||
            S->getStmtClass() == StmtClass::OMPUnrollDirective ||
@@ -394,6 +404,15 @@ public:
   }
   [[nodiscard]] bool hasPartialClause() const {
     return getSingleClause<OMPPartialClause>() != nullptr;
+  }
+  /// The factor partial unrolling uses: partial(k)'s k, else
+  /// \p HeuristicFactor (LangOptions::HeuristicUnrollFactor), the factor
+  /// a heuristic unroll gets once another directive consumes it.
+  [[nodiscard]] unsigned getUnrollFactor(unsigned HeuristicFactor) const {
+    if (const auto *PC = getSingleClause<OMPPartialClause>())
+      if (PC->getFactor())
+        return static_cast<unsigned>(PC->getFactor()->getResult());
+    return HeuristicFactor;
   }
 
   static bool classof(const Stmt *S) {
@@ -537,6 +556,42 @@ private:
   CapturedStmt *LoopVarFunc;
   DeclRefExpr *LoopVarRef;
 };
+
+inline unsigned OMPLoopTransformationDirective::getNumGeneratedLoops() const {
+  switch (getDirectiveKind()) {
+  case OpenMPDirectiveKind::Tile:
+  case OpenMPDirectiveKind::Interchange:
+    return getLoopsNumber();
+  case OpenMPDirectiveKind::Unroll:
+    return stmt_cast<OMPUnrollDirective>(this)->hasFullClause() ? 0 : 1;
+  case OpenMPDirectiveKind::Reverse:
+  case OpenMPDirectiveKind::Fuse:
+    return 1;
+  default:
+    return 0;
+  }
+}
+
+/// Strips the statements that may stand between a directive and the loop
+/// it is associated with: single-statement CompoundStmts (braces),
+/// CapturedStmts (outlined regions) and, unless \p KeepCanonicalLoop,
+/// OMPCanonicalLoop wrappers. This is the one definition of "wrapper" that
+/// Sema, CodeGen and the AST analyses share.
+Stmt *skipLoopWrappers(Stmt *S, bool KeepCanonicalLoop = false);
+inline const Stmt *skipLoopWrappers(const Stmt *S,
+                                    bool KeepCanonicalLoop = false) {
+  return skipLoopWrappers(const_cast<Stmt *>(S), KeepCanonicalLoop);
+}
+
+/// skipLoopWrappers that also continues into the generated loop of each
+/// loop-transformation directive it meets, calling \p OnTransform on the
+/// directive first (the consumption mechanism of the paper's Section 2).
+/// Stops at a directive without a generated loop: full unroll, or any
+/// transformation in IRBuilder mode.
+Stmt *skipToGeneratedLoop(
+    Stmt *S,
+    const std::function<void(OMPLoopTransformationDirective *)> &OnTransform =
+        {});
 
 } // namespace mcc
 

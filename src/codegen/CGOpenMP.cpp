@@ -316,6 +316,25 @@ void emitForkCall(CodeGenFunction &CGF, ir::IRBuilder &B,
       {Outlined, B.getI32(static_cast<std::int32_t>(CaptureAddrs.size())),
        Ctx, NumThreads ? NumThreads : B.getI32(0)});
 }
+/// The runtime schedule a schedule clause selects, shared by both
+/// lowerings: without a clause, or static without a chunk, the unchunked
+/// static schedule.
+OMPScheduleType scheduleTypeFor(const OMPScheduleClause *Sched,
+                                bool HasChunk) {
+  if (!Sched)
+    return OMPScheduleType::Static;
+  switch (Sched->getScheduleKind()) {
+  case OpenMPScheduleKind::Dynamic:
+  case OpenMPScheduleKind::Auto:
+  case OpenMPScheduleKind::Runtime:
+    return OMPScheduleType::DynamicChunked;
+  case OpenMPScheduleKind::Guided:
+    return OMPScheduleType::GuidedChunked;
+  default:
+    return HasChunk ? OMPScheduleType::StaticChunked
+                    : OMPScheduleType::Static;
+  }
+}
 } // namespace
 
 // ===--------------------------- Dispatcher ---------------------------=== //
@@ -367,21 +386,9 @@ void CodeGenFunction::emitOMPDirective(const OMPExecutableDirective *D) {
     if (CGM.getLangOpts().OpenMPEnableIRBuilder)
       return emitOMPLoopBasedDirectiveIRBuilder(
           stmt_cast<OMPLoopBasedDirective>(D));
-    // Legacy pipeline.
-    switch (D->getDirectiveKind()) {
-    case OpenMPDirectiveKind::Tile:
-      return emitOMPTileLegacy(stmt_cast<OMPTileDirective>(D));
-    case OpenMPDirectiveKind::Unroll:
-      return emitOMPUnrollLegacy(stmt_cast<OMPUnrollDirective>(D));
-    case OpenMPDirectiveKind::Reverse:
-    case OpenMPDirectiveKind::Interchange:
-    case OpenMPDirectiveKind::Fuse:
-    case OpenMPDirectiveKind::DistributeLoop:
-      return emitOMPTransformLegacy(
-          stmt_cast<OMPLoopTransformationDirective>(D));
-    default:
-      return emitOMPLoopDirectiveLegacy(stmt_cast<OMPLoopDirective>(D));
-    }
+    if (const auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(D))
+      return emitOMPTransformLegacy(TD);
+    return emitOMPLoopDirectiveLegacy(stmt_cast<OMPLoopDirective>(D));
   }
   default:
     assert(false && "unhandled OpenMP directive in CodeGen");
@@ -443,11 +450,8 @@ void CodeGenFunction::emitWorkshareFromHelpers(const OMPLoopDirective *D) {
   }
 
   const auto *Sched = D->getSingleClause<OMPScheduleClause>();
-  OpenMPScheduleKind SchedKind =
-      Sched ? Sched->getScheduleKind() : OpenMPScheduleKind::Static;
   const Expr *ChunkExpr = Sched ? Sched->getChunkSize() : nullptr;
-  bool UseStaticInit = !IsSimdOnly &&
-                       SchedKind == OpenMPScheduleKind::Static && !ChunkExpr;
+  OMPScheduleType SchedTy = scheduleTypeFor(Sched, ChunkExpr != nullptr);
   bool NoWait = D->getSingleClause<OMPNoWaitClause>() != nullptr;
 
   auto EmitInnerLoop = [&](ir::LoopMetadata MD) {
@@ -484,7 +488,7 @@ void CodeGenFunction::emitWorkshareFromHelpers(const OMPLoopDirective *D) {
     return;
   }
 
-  if (UseStaticInit) {
+  if (SchedTy == OMPScheduleType::Static) {
     ir::Value *Gtid = emitGtid();
     B.createCall(
         OMPB.getOrCreateRuntimeFunction("__kmpc_for_static_init"),
@@ -498,18 +502,6 @@ void CodeGenFunction::emitWorkshareFromHelpers(const OMPLoopDirective *D) {
                  {emitGtid()});
   } else {
     // Chunked static / dynamic / guided: dispatch loop.
-    std::int32_t SchedVal;
-    switch (SchedKind) {
-    case OpenMPScheduleKind::Static:
-      SchedVal = static_cast<std::int32_t>(OMPScheduleType::StaticChunked);
-      break;
-    case OpenMPScheduleKind::Guided:
-      SchedVal = static_cast<std::int32_t>(OMPScheduleType::GuidedChunked);
-      break;
-    default:
-      SchedVal = static_cast<std::int32_t>(OMPScheduleType::DynamicChunked);
-      break;
-    }
     ir::Value *Chunk =
         ChunkExpr ? B.createIntCast(emitExpr(ChunkExpr), IRType::getI64(),
                                     true, "chunk")
@@ -517,7 +509,8 @@ void CodeGenFunction::emitWorkshareFromHelpers(const OMPLoopDirective *D) {
     ir::Value *NumIter = emitExpr(H.NumIterations);
     NumIter = B.createIntCast(NumIter, IRType::getI64(), false, "trip64");
     B.createCall(OMPB.getOrCreateRuntimeFunction("__kmpc_dispatch_init"),
-                 {emitGtid(), B.getI32(SchedVal), B.getI64(0),
+                 {emitGtid(), B.getI32(static_cast<std::int32_t>(SchedTy)),
+                  B.getI64(0),
                   B.createSub(NumIter, B.getI64(1), "lastiter"), Chunk});
 
     BasicBlock *DispCondBB = CurFn->createBlock("omp.dispatch.cond");
@@ -543,111 +536,88 @@ void CodeGenFunction::emitWorkshareFromHelpers(const OMPLoopDirective *D) {
     emitOMPBarrier();
 }
 
-void CodeGenFunction::emitOMPLoopDirectiveLegacy(const OMPLoopDirective *D) {
-  if (isOpenMPParallelDirective(D->getDirectiveKind())) {
-    // Combined parallel-for: outline, then emit the worksharing loop
-    // inside the outlined function.
-    const auto *CS = stmt_cast<CapturedStmt>(D->getAssociatedStmt());
-    std::vector<const VarDecl *> Captures;
-    for (const CapturedStmt::Capture &Cap : CS->captures())
-      Captures.push_back(Cap.Var);
+void CodeGenFunction::emitCombinedParallel(
+    const OMPLoopBasedDirective *D,
+    const std::function<void(CodeGenFunction &)> &EmitLoop) {
+  // Outline, then emit the loop machinery inside the outlined function.
+  const auto *CS = stmt_cast<CapturedStmt>(D->getAssociatedStmt());
+  std::vector<const VarDecl *> Captures;
+  for (const CapturedStmt::Capture &Cap : CS->captures())
+    Captures.push_back(Cap.Var);
 
-    ir::Function *Outlined = CGM.getModule().createFunction(
-        CGM.makeOutlinedName(std::string(CurFnDecl->getName())),
-        IRType::getVoid(),
-        {IRType::getPtr(), IRType::getPtr(), IRType::getPtr()},
-        {".global_tid.", ".bound_tid.", "__context"});
+  ir::Function *Outlined = CGM.getModule().createFunction(
+      CGM.makeOutlinedName(std::string(CurFnDecl->getName())),
+      IRType::getVoid(),
+      {IRType::getPtr(), IRType::getPtr(), IRType::getPtr()},
+      {".global_tid.", ".bound_tid.", "__context"});
 
-    CodeGenFunction CGF(CGM);
-    CGF.CurFn = Outlined;
-    CGF.CurFnDecl = CurFnDecl;
-    CGF.B.setInsertPoint(Outlined->createBlock("entry"));
-    Argument *Ctx = Outlined->getArg(2);
-    for (std::size_t I = 0; I < Captures.size(); ++I) {
-      ir::Value *SlotPtr = CGF.B.createGEP(
-          IRType::getPtr(), Ctx, CGF.B.getI64(static_cast<std::int64_t>(I)));
-      CGF.LocalAddrs[Captures[I]] =
-          CGF.B.createLoad(IRType::getPtr(), SlotPtr,
-                           std::string(Captures[I]->getName()) + ".addr");
-    }
-    std::vector<ReductionInfo> Reductions =
-        CGF.emitPrivatizationClauses(D->clauses());
-    CGF.emitWorkshareFromHelpers(D);
-    CGF.emitReductionFinalization(Reductions);
-    if (!CGF.B.isBlockTerminated())
-      CGF.B.createRetVoid();
-
-    std::vector<ir::Value *> CaptureAddrs;
-    for (const VarDecl *V : Captures)
-      CaptureAddrs.push_back(addressOfDecl(V));
-    ir::Value *NumThreads = nullptr;
-    if (const auto *NT = D->getSingleClause<OMPNumThreadsClause>())
-      NumThreads = B.createIntCast(emitExpr(NT->getNumThreads()),
-                                   IRType::getI32(), true, "numthreads");
-    emitForkCall(*this, B, OMPB, Outlined, CaptureAddrs, NumThreads);
-    return;
+  CodeGenFunction CGF(CGM);
+  CGF.CurFn = Outlined;
+  CGF.CurFnDecl = CurFnDecl;
+  CGF.B.setInsertPoint(Outlined->createBlock("entry"));
+  Argument *Ctx = Outlined->getArg(2);
+  for (std::size_t I = 0; I < Captures.size(); ++I) {
+    ir::Value *SlotPtr = CGF.B.createGEP(
+        IRType::getPtr(), Ctx, CGF.B.getI64(static_cast<std::int64_t>(I)));
+    CGF.LocalAddrs[Captures[I]] =
+        CGF.B.createLoad(IRType::getPtr(), SlotPtr,
+                         std::string(Captures[I]->getName()) + ".addr");
   }
+  std::vector<ReductionInfo> Reductions =
+      CGF.emitPrivatizationClauses(D->clauses());
+  EmitLoop(CGF);
+  CGF.emitReductionFinalization(Reductions);
+  if (!CGF.B.isBlockTerminated())
+    CGF.B.createRetVoid();
+
+  std::vector<ir::Value *> CaptureAddrs;
+  for (const VarDecl *V : Captures)
+    CaptureAddrs.push_back(addressOfDecl(V));
+  ir::Value *NumThreads = nullptr;
+  if (const auto *NT = D->getSingleClause<OMPNumThreadsClause>())
+    NumThreads = B.createIntCast(emitExpr(NT->getNumThreads()),
+                                 IRType::getI32(), true, "numthreads");
+  emitForkCall(*this, B, OMPB, Outlined, CaptureAddrs, NumThreads);
+}
+
+void CodeGenFunction::emitOMPLoopDirectiveLegacy(const OMPLoopDirective *D) {
+  if (isOpenMPParallelDirective(D->getDirectiveKind()))
+    return emitCombinedParallel(
+        D, [D](CodeGenFunction &CGF) { CGF.emitWorkshareFromHelpers(D); });
   // Inline worksharing (within the current team) / simd.
   emitWorkshareFromHelpers(D);
 }
 
 // ===------------------ Legacy: loop transformations ------------------=== //
 
-void CodeGenFunction::emitOMPTileLegacy(const OMPTileDirective *D) {
-  // "If encountering a non-associated tile construct, CodeGen will simply
-  // emit the transformed AST in its place." (Section 2.2)
-  if (D->getPreInits())
-    emitStmt(D->getPreInits());
-  emitStmt(D->getTransformedStmt());
-}
-
 void CodeGenFunction::emitOMPTransformLegacy(
     const OMPLoopTransformationDirective *D) {
-  // reverse / interchange: Sema already built the de-sugared shadow loop
-  // nest over the permuted/mirrored logical spaces; emit it in place.
   if (D->getPreInits())
     emitStmt(D->getPreInits());
-  emitStmt(D->getTransformedStmt());
-}
-
-void CodeGenFunction::emitOMPUnrollLegacy(const OMPUnrollDirective *D) {
-  if (D->getPreInits())
-    emitStmt(D->getPreInits());
-  if (D->hasPartialClause()) {
-    // The transformed AST's inner loop carries the LoopHintAttr that
-    // becomes llvm.loop.unroll.count metadata.
+  // "If encountering a non-associated tile construct, CodeGen will simply
+  // emit the transformed AST in its place." (Section 2.2) The same holds
+  // for every transformation whose replacement Sema built; for unroll
+  // partial, its inner loop carries the LoopHintAttr that becomes
+  // llvm.loop.unroll.count metadata.
+  const auto *UD = stmt_dyn_cast<OMPUnrollDirective>(D);
+  if (!UD || UD->hasPartialClause()) {
     emitStmt(D->getTransformedStmt());
     return;
   }
   // Full/heuristic: "it is more efficient to defer unrolling to the
   // LoopUnroll pass by attaching llvm.loop.unroll.* metadata to the loop
-  // without even tiling the loop beforehand." (Section 2.2)
+  // without even tiling the loop beforehand." (Section 2.2) The loop may
+  // itself be generated by a nested transformation.
   ir::LoopMetadata MD;
-  if (D->hasFullClause())
+  if (UD->hasFullClause())
     MD.UnrollFull = true;
   else
     MD.UnrollEnable = true;
-  // The associated statement may itself be a loop transformation whose
-  // generated loop this unroll applies to: descend through transformed
-  // statements (the consumption mechanism of Section 2).
-  Stmt *S = D->getAssociatedStmt();
-  while (true) {
-    if (auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(S)) {
-      S = CL->getLoopStmt();
-      continue;
-    }
-    if (auto *CS = stmt_dyn_cast<CompoundStmt>(S); CS && CS->size() == 1) {
-      S = CS->body()[0];
-      continue;
-    }
-    if (auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(S)) {
-      if (TD->getPreInits())
-        emitStmt(TD->getPreInits());
-      S = TD->getTransformedStmt();
-      continue;
-    }
-    break;
-  }
+  Stmt *S = skipToGeneratedLoop(
+      UD->getAssociatedStmt(), [this](OMPLoopTransformationDirective *TD) {
+        if (TD->getPreInits())
+          emitStmt(TD->getPreInits());
+      });
   emitForStmt(stmt_cast<ForStmt>(S), MD);
 }
 
@@ -702,13 +672,8 @@ CodeGenFunction::emitCanonicalLoopNest(const OMPCanonicalLoop *Outer) {
   while (Cur) {
     Nest.push_back(Cur);
     const auto *For = stmt_cast<ForStmt>(Cur->getLoopStmt());
-    const Stmt *Body = For->getBody();
-    while (const auto *CS = stmt_dyn_cast<CompoundStmt>(Body)) {
-      if (CS->size() != 1)
-        break;
-      Body = CS->body()[0];
-    }
-    Cur = stmt_dyn_cast<OMPCanonicalLoop>(Body);
+    Cur = stmt_dyn_cast<OMPCanonicalLoop>(
+        skipLoopWrappers(For->getBody(), /*KeepCanonicalLoop=*/true));
   }
   const unsigned N = static_cast<unsigned>(Nest.size());
 
@@ -746,57 +711,59 @@ CodeGenFunction::emitCanonicalLoopNest(const OMPCanonicalLoop *Outer) {
 }
 
 std::vector<ir::CanonicalLoopInfo *>
-CodeGenFunction::emitLoopConstruct(const Stmt *S) {
-  while (const auto *CS = stmt_dyn_cast<CompoundStmt>(S)) {
-    assert(CS->size() == 1);
-    S = CS->body()[0];
-  }
+CodeGenFunction::emitLoopConstruct(const Stmt *S, bool Consumed) {
+  S = skipLoopWrappers(S, /*KeepCanonicalLoop=*/true);
   if (const auto *CL = stmt_dyn_cast<OMPCanonicalLoop>(S))
     return emitCanonicalLoopNest(CL);
-
-  if (const auto *UD = stmt_dyn_cast<OMPUnrollDirective>(S)) {
-    std::vector<CanonicalLoopInfo *> Inner =
-        emitLoopConstruct(UD->getAssociatedStmt());
-    unsigned Factor = CGM.getLangOpts().HeuristicUnrollFactor;
-    if (const auto *PC = UD->getSingleClause<OMPPartialClause>())
-      if (PC->getFactor())
-        Factor = static_cast<unsigned>(PC->getFactor()->getResult());
-    CanonicalLoopInfo *Unrolled = nullptr;
-    OMPB.unrollLoopPartial(Inner[0], Factor, &Unrolled);
-    return {Unrolled};
-  }
-  if (const auto *TD = stmt_dyn_cast<OMPTileDirective>(S)) {
-    std::vector<CanonicalLoopInfo *> Inner =
-        emitLoopConstruct(TD->getAssociatedStmt());
-    const auto *Sizes = TD->getSingleClause<OMPSizesClause>();
-    std::vector<ir::Value *> SizeVals;
-    for (unsigned K = 0; K < Sizes->getNumSizes(); ++K)
-      SizeVals.push_back(B.getInt(Inner[K]->getTripCount()->getType(),
-                                  Sizes->getSize(K)));
-    std::vector<CanonicalLoopInfo *> Consumed(
-        Inner.begin(),
-        Inner.begin() + static_cast<std::ptrdiff_t>(Sizes->getNumSizes()));
-    return OMPB.tileLoops(Consumed, SizeVals);
-  }
-  if (const auto *RD = stmt_dyn_cast<OMPReverseDirective>(S)) {
-    std::vector<CanonicalLoopInfo *> Inner =
-        emitLoopConstruct(RD->getAssociatedStmt());
-    OMPB.reverseLoop(Inner[0]);
-    return Inner;
-  }
-  if (const auto *ID = stmt_dyn_cast<OMPInterchangeDirective>(S)) {
-    std::vector<CanonicalLoopInfo *> Inner =
-        emitLoopConstruct(ID->getAssociatedStmt());
-    std::vector<unsigned> Perm = ID->getPermutation();
-    std::vector<CanonicalLoopInfo *> Consumed(
-        Inner.begin(),
-        Inner.begin() + static_cast<std::ptrdiff_t>(Perm.size()));
-    return OMPB.interchangeLoops(Consumed, Perm);
-  }
   if (const auto *FD = stmt_dyn_cast<OMPFuseDirective>(S))
     return {emitOMPFuseIRBuilder(FD)};
-  assert(false && "unexpected statement in IRBuilder loop construct");
-  return {};
+
+  // A transformation of a perfect nest: apply it to the handles of the
+  // loops it is associated with.
+  const auto *TD = stmt_cast<OMPLoopTransformationDirective>(S);
+  std::vector<CanonicalLoopInfo *> Inner =
+      emitLoopConstruct(TD->getAssociatedStmt());
+  assert(Inner.size() >= TD->getLoopsNumber());
+  std::vector<CanonicalLoopInfo *> Nest(
+      Inner.begin(),
+      Inner.begin() + static_cast<std::ptrdiff_t>(TD->getLoopsNumber()));
+  switch (TD->getDirectiveKind()) {
+  case OpenMPDirectiveKind::Tile: {
+    const auto *Sizes = TD->getSingleClause<OMPSizesClause>();
+    std::vector<ir::Value *> SizeVals;
+    for (unsigned K = 0; K < Nest.size(); ++K)
+      SizeVals.push_back(
+          B.getInt(Nest[K]->getTripCount()->getType(), Sizes->getSize(K)));
+    return OMPB.tileLoops(Nest, SizeVals);
+  }
+  case OpenMPDirectiveKind::Unroll: {
+    const auto *UD = stmt_cast<OMPUnrollDirective>(TD);
+    if (UD->hasFullClause()) {
+      OMPB.unrollLoopFull(Nest[0]);
+      return {};
+    }
+    // Heuristic unrolling picks its own factor unless another directive
+    // consumes the generated loop.
+    if (!Consumed && !UD->hasPartialClause()) {
+      OMPB.unrollLoopHeuristic(Nest[0]);
+      return {};
+    }
+    CanonicalLoopInfo *Unrolled = nullptr;
+    OMPB.unrollLoopPartial(
+        Nest[0], UD->getUnrollFactor(CGM.getLangOpts().HeuristicUnrollFactor),
+        &Unrolled);
+    return {Unrolled};
+  }
+  case OpenMPDirectiveKind::Reverse:
+    OMPB.reverseLoop(Nest[0]);
+    return Inner;
+  case OpenMPDirectiveKind::Interchange:
+    return OMPB.interchangeLoops(
+        Nest, stmt_cast<OMPInterchangeDirective>(TD)->getPermutation());
+  default:
+    assert(false && "unexpected statement in IRBuilder loop construct");
+    return {};
+  }
 }
 
 ir::CanonicalLoopInfo *
@@ -822,12 +789,8 @@ CodeGenFunction::emitOMPFuseIRBuilder(const OMPFuseDirective *D) {
 
 void CodeGenFunction::emitOMPDistributeLoopIRBuilder(
     const OMPDistributeLoopDirective *D) {
-  const Stmt *S = D->getAssociatedStmt();
-  while (const auto *Wrap = stmt_dyn_cast<CompoundStmt>(S)) {
-    assert(Wrap->size() == 1);
-    S = Wrap->body()[0];
-  }
-  const auto *CL = stmt_cast<OMPCanonicalLoop>(S);
+  const auto *CL = stmt_cast<OMPCanonicalLoop>(
+      skipLoopWrappers(D->getAssociatedStmt(), /*KeepCanonicalLoop=*/true));
   const auto *For = stmt_cast<ForStmt>(CL->getLoopStmt());
   // Sema guarantees the body is a compound of >= 2 statement groups with
   // no locals referenced across groups: one canonical loop per group, all
@@ -844,109 +807,11 @@ void CodeGenFunction::emitOMPDistributeLoopIRBuilder(
         "omp_dist");
 }
 
-void CodeGenFunction::emitOMPLoopBasedDirectiveIRBuilder(
+void CodeGenFunction::emitWorksharingLoopIRBuilder(
     const OMPLoopBasedDirective *D) {
   OpenMPDirectiveKind Kind = D->getDirectiveKind();
-
-  // Combined parallel: outline first, then emit the loop machinery inside
-  // the outlined function.
-  if (isOpenMPParallelDirective(Kind)) {
-    const auto *CS = stmt_cast<CapturedStmt>(D->getAssociatedStmt());
-    std::vector<const VarDecl *> Captures;
-    for (const CapturedStmt::Capture &Cap : CS->captures())
-      Captures.push_back(Cap.Var);
-
-    ir::Function *Outlined = CGM.getModule().createFunction(
-        CGM.makeOutlinedName(std::string(CurFnDecl->getName())),
-        IRType::getVoid(),
-        {IRType::getPtr(), IRType::getPtr(), IRType::getPtr()},
-        {".global_tid.", ".bound_tid.", "__context"});
-    CodeGenFunction CGF(CGM);
-    CGF.CurFn = Outlined;
-    CGF.CurFnDecl = CurFnDecl;
-    CGF.B.setInsertPoint(Outlined->createBlock("entry"));
-    Argument *Ctx = Outlined->getArg(2);
-    for (std::size_t I = 0; I < Captures.size(); ++I) {
-      ir::Value *SlotPtr = CGF.B.createGEP(
-          IRType::getPtr(), Ctx, CGF.B.getI64(static_cast<std::int64_t>(I)));
-      CGF.LocalAddrs[Captures[I]] =
-          CGF.B.createLoad(IRType::getPtr(), SlotPtr,
-                           std::string(Captures[I]->getName()) + ".addr");
-    }
-    std::vector<ReductionInfo> Reductions =
-        CGF.emitPrivatizationClauses(D->clauses());
-
-    // The chunk size (if any) must be emitted before the loop skeletons so
-    // that it dominates the preheader applyWorkshareLoop modifies.
-    const auto *Sched = D->getSingleClause<OMPScheduleClause>();
-    OMPScheduleType SchedTy = OMPScheduleType::Static;
-    ir::Value *Chunk = nullptr;
-    if (Sched) {
-      if (Sched->getChunkSize())
-        Chunk = CGF.B.createIntCast(CGF.emitExpr(Sched->getChunkSize()),
-                                    IRType::getI64(), true, "chunk");
-      switch (Sched->getScheduleKind()) {
-      case OpenMPScheduleKind::Dynamic:
-      case OpenMPScheduleKind::Auto:
-      case OpenMPScheduleKind::Runtime:
-        SchedTy = OMPScheduleType::DynamicChunked;
-        break;
-      case OpenMPScheduleKind::Guided:
-        SchedTy = OMPScheduleType::GuidedChunked;
-        break;
-      default:
-        SchedTy = Chunk ? OMPScheduleType::StaticChunked
-                        : OMPScheduleType::Static;
-        break;
-      }
-    }
-
-    // Inside the outlined function: emit the loop chain and apply the
-    // worksharing operation.
-    std::vector<CanonicalLoopInfo *> CLIs =
-        CGF.emitLoopConstruct(CS->getCapturedStmt());
-    CanonicalLoopInfo *Target = CLIs[0];
-    unsigned NumLoops = D->getLoopsNumber();
-    if (NumLoops > 1 && CLIs.size() >= NumLoops)
-      Target = CGF.OMPB.collapseLoops(
-          {CLIs.begin(), CLIs.begin() + NumLoops});
-    CGF.OMPB.applyWorkshareLoop(Target, SchedTy, Chunk, /*NoWait=*/false);
-    if (Kind == OpenMPDirectiveKind::ForSimd)
-      CGF.OMPB.applySimd(Target);
-    CGF.emitReductionFinalization(Reductions);
-    if (!CGF.B.isBlockTerminated())
-      CGF.B.createRetVoid();
-
-    std::vector<ir::Value *> CaptureAddrs;
-    for (const VarDecl *V : Captures)
-      CaptureAddrs.push_back(addressOfDecl(V));
-    ir::Value *NumThreads = nullptr;
-    if (const auto *NT = D->getSingleClause<OMPNumThreadsClause>())
-      NumThreads = B.createIntCast(emitExpr(NT->getNumThreads()),
-                                   IRType::getI32(), true, "numthreads");
-    emitForkCall(*this, B, OMPB, Outlined, CaptureAddrs, NumThreads);
-    return;
-  }
-
-  std::vector<ReductionInfo> Reductions =
-      emitPrivatizationClauses(D->clauses());
-
-  // fuse/distribute_loop associate with statement sequences (or a loop
-  // whose body is split), not a single canonical-loop chain; they bypass
-  // the common emitLoopConstruct entry.
-  if (Kind == OpenMPDirectiveKind::Fuse) {
-    emitOMPFuseIRBuilder(stmt_cast<OMPFuseDirective>(D));
-    emitReductionFinalization(Reductions);
-    return;
-  }
-  if (Kind == OpenMPDirectiveKind::DistributeLoop) {
-    emitOMPDistributeLoopIRBuilder(stmt_cast<OMPDistributeLoopDirective>(D));
-    emitReductionFinalization(Reductions);
-    return;
-  }
-
-  // Chunk size must be emitted before the loop skeletons so it dominates
-  // the preheader applyWorkshareLoop modifies.
+  // The chunk size (if any) must be emitted before the loop skeletons so
+  // that it dominates the preheader applyWorkshareLoop modifies.
   const auto *Sched = D->getSingleClause<OMPScheduleClause>();
   ir::Value *Chunk = nullptr;
   if (Sched && Sched->getChunkSize())
@@ -955,91 +820,37 @@ void CodeGenFunction::emitOMPLoopBasedDirectiveIRBuilder(
 
   std::vector<CanonicalLoopInfo *> CLIs =
       emitLoopConstruct(D->getAssociatedStmt());
-
-  switch (Kind) {
-  case OpenMPDirectiveKind::For:
-  case OpenMPDirectiveKind::ForSimd: {
-    CanonicalLoopInfo *Target = CLIs[0];
-    unsigned NumLoops = D->getLoopsNumber();
-    if (NumLoops > 1 && CLIs.size() >= NumLoops)
-      Target = OMPB.collapseLoops({CLIs.begin(), CLIs.begin() + NumLoops});
-    OMPScheduleType SchedTy = OMPScheduleType::Static;
-    if (Sched) {
-      switch (Sched->getScheduleKind()) {
-      case OpenMPScheduleKind::Dynamic:
-      case OpenMPScheduleKind::Auto:
-      case OpenMPScheduleKind::Runtime:
-        SchedTy = OMPScheduleType::DynamicChunked;
-        break;
-      case OpenMPScheduleKind::Guided:
-        SchedTy = OMPScheduleType::GuidedChunked;
-        break;
-      default:
-        SchedTy = Chunk ? OMPScheduleType::StaticChunked
-                        : OMPScheduleType::Static;
-        break;
-      }
-    }
-    bool NoWait = D->getSingleClause<OMPNoWaitClause>() != nullptr;
-    OMPB.applyWorkshareLoop(Target, SchedTy, Chunk, NoWait);
-    if (Kind == OpenMPDirectiveKind::ForSimd)
-      OMPB.applySimd(Target);
-    break;
+  unsigned NumLoops = D->getLoopsNumber();
+  assert(CLIs.size() >= NumLoops);
+  CanonicalLoopInfo *Target = CLIs[0];
+  if (NumLoops > 1)
+    Target = OMPB.collapseLoops({CLIs.begin(), CLIs.begin() + NumLoops});
+  if (Kind != OpenMPDirectiveKind::Simd) {
+    // The combined parallel-for ends with the region's join barrier.
+    bool NoWait = !isOpenMPParallelDirective(Kind) &&
+                  D->getSingleClause<OMPNoWaitClause>() != nullptr;
+    OMPB.applyWorkshareLoop(Target, scheduleTypeFor(Sched, Chunk != nullptr),
+                            Chunk, NoWait);
   }
-  case OpenMPDirectiveKind::Simd: {
-    CanonicalLoopInfo *Target = CLIs[0];
-    unsigned NumLoops = D->getLoopsNumber();
-    if (NumLoops > 1 && CLIs.size() >= NumLoops)
-      Target = OMPB.collapseLoops({CLIs.begin(), CLIs.begin() + NumLoops});
+  if (Kind == OpenMPDirectiveKind::Simd ||
+      Kind == OpenMPDirectiveKind::ForSimd)
     OMPB.applySimd(Target);
-    break;
-  }
-  case OpenMPDirectiveKind::Tile: {
-    // Standalone tile: the associated statement is the canonical-loop
-    // nest; transformation applied here.
-    const auto *Sizes = D->getSingleClause<OMPSizesClause>();
-    std::vector<ir::Value *> SizeVals;
-    for (unsigned K = 0; K < Sizes->getNumSizes(); ++K)
-      SizeVals.push_back(B.getInt(CLIs[K]->getTripCount()->getType(),
-                                  Sizes->getSize(K)));
-    std::vector<CanonicalLoopInfo *> Consumed(
-        CLIs.begin(),
-        CLIs.begin() + static_cast<std::ptrdiff_t>(Sizes->getNumSizes()));
-    OMPB.tileLoops(Consumed, SizeVals);
-    break;
-  }
-  case OpenMPDirectiveKind::Unroll: {
-    const auto *UD = stmt_cast<OMPUnrollDirective>(D);
-    if (UD->hasFullClause())
-      OMPB.unrollLoopFull(CLIs[0]);
-    else if (const auto *PC = UD->getSingleClause<OMPPartialClause>()) {
-      unsigned Factor =
-          PC->getFactor()
-              ? static_cast<unsigned>(PC->getFactor()->getResult())
-              : CGM.getLangOpts().HeuristicUnrollFactor;
-      OMPB.unrollLoopPartial(CLIs[0], Factor, nullptr);
-    } else {
-      OMPB.unrollLoopHeuristic(CLIs[0]);
-    }
-    break;
-  }
-  case OpenMPDirectiveKind::Reverse: {
-    // Standalone reverse: apply the transformation to the canonical loop.
-    OMPB.reverseLoop(CLIs[0]);
-    break;
-  }
-  case OpenMPDirectiveKind::Interchange: {
-    const auto *ID = stmt_cast<OMPInterchangeDirective>(D);
-    std::vector<unsigned> Perm = ID->getPermutation();
-    std::vector<CanonicalLoopInfo *> Consumed(
-        CLIs.begin(),
-        CLIs.begin() + static_cast<std::ptrdiff_t>(Perm.size()));
-    OMPB.interchangeLoops(Consumed, Perm);
-    break;
-  }
-  default:
-    assert(false);
-  }
+}
+
+void CodeGenFunction::emitOMPLoopBasedDirectiveIRBuilder(
+    const OMPLoopBasedDirective *D) {
+  if (isOpenMPParallelDirective(D->getDirectiveKind()))
+    return emitCombinedParallel(
+        D, [D](CodeGenFunction &CGF) { CGF.emitWorksharingLoopIRBuilder(D); });
+
+  std::vector<ReductionInfo> Reductions =
+      emitPrivatizationClauses(D->clauses());
+  if (const auto *DD = stmt_dyn_cast<OMPDistributeLoopDirective>(D))
+    emitOMPDistributeLoopIRBuilder(DD);
+  else if (stmt_dyn_cast<OMPLoopTransformationDirective>(D))
+    emitLoopConstruct(D, /*Consumed=*/false);
+  else
+    emitWorksharingLoopIRBuilder(D);
   emitReductionFinalization(Reductions);
 }
 

@@ -4,6 +4,7 @@
 
 #include "codegen/CodeGenModule.h"
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -55,18 +56,27 @@ private:
   /// Emits the worksharing/simd loop body from the shadow helpers inside
   /// the current function (used both inline and in outlined functions).
   void emitWorkshareFromHelpers(const OMPLoopDirective *D);
-  void emitOMPTileLegacy(const OMPTileDirective *D);
-  void emitOMPUnrollLegacy(const OMPUnrollDirective *D);
-  /// reverse / interchange: emits PreInits + the shadow transformed nest.
+  /// A standalone transformation: PreInits + the shadow transformed
+  /// statement, or for full/heuristic unroll the loop with unroll metadata.
   void emitOMPTransformLegacy(const OMPLoopTransformationDirective *D);
+  /// Combined parallel-for (both pipelines): outlines the region, runs
+  /// \p EmitLoop inside the outlined function, and forks it.
+  void emitCombinedParallel(
+      const OMPLoopBasedDirective *D,
+      const std::function<void(CodeGenFunction &)> &EmitLoop);
 
   // IRBuilder pipeline.
   void emitOMPLoopBasedDirectiveIRBuilder(const OMPLoopBasedDirective *D);
+  /// for / simd / for simd (and the loop of parallel for): collapses the
+  /// associated loops and applies the worksharing and simd operations.
+  void emitWorksharingLoopIRBuilder(const OMPLoopBasedDirective *D);
   /// Recursively emits the loop-construct chain below a directive:
   /// canonical loop nests become CanonicalLoopInfos; nested transformation
   /// directives are applied on the handles. Returns the generated loops
-  /// available for consumption.
-  std::vector<ir::CanonicalLoopInfo *> emitLoopConstruct(const Stmt *S);
+  /// available for consumption; \p Consumed is false for a standalone
+  /// transformation, whose heuristic unroll then keeps no loop.
+  std::vector<ir::CanonicalLoopInfo *> emitLoopConstruct(const Stmt *S,
+                                                         bool Consumed = true);
   /// Emits a perfect nest of OMPCanonicalLoops (distance functions
   /// hoisted), returning one CLI per nest level.
   std::vector<ir::CanonicalLoopInfo *>

@@ -200,40 +200,44 @@ public:
   Expr *buildCounterUpdate(const OMPLoopInfo &Info, Expr *CounterRValue);
 
   // --- Legacy pipeline (Section 2) ---
+  //
+  // One shadow-AST builder per transformation kind. Each builds the
+  // *transformed statement*: a nest over the logical iteration spaces
+  // whose innermost body materializes the user's iteration variables
+  // (buildMaterializedBody) and re-uses a clone of the original body.
 
-  /// Builds the transformed (shadow) AST for "#pragma omp tile".
+  /// "#pragma omp tile": n floor loops around n tile loops (Fig. 7).
   Stmt *buildTileTransformation(OMPTileDirective *Dir,
                                 const std::vector<OMPLoopInfo> &Infos);
-  /// Builds the transformed (shadow) AST for "#pragma omp unroll
-  /// partial(k)": strip-mined loop whose inner loop carries a LoopHintAttr
-  /// (paper Listing 8).
-  Stmt *buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
-                                         const OMPLoopInfo &Info,
+  /// "#pragma omp unroll partial(k)": strip-mined loop whose inner loop
+  /// carries a LoopHintAttr (paper Listing 8).
+  Stmt *buildUnrollPartialTransformation(const OMPLoopInfo &Info,
                                          unsigned Factor);
-  /// Builds the transformed (shadow) AST for "#pragma omp reverse": one
-  /// loop over the logical iteration space, fed through in reverse order.
-  Stmt *buildReverseTransformation(OMPReverseDirective *Dir,
-                                   const OMPLoopInfo &Info);
-  /// Builds the transformed (shadow) AST for "#pragma omp interchange":
-  /// the nest rebuilt over the permuted logical iteration spaces.
-  Stmt *buildInterchangeTransformation(OMPInterchangeDirective *Dir,
-                                       const std::vector<OMPLoopInfo> &Infos,
+  /// "#pragma omp reverse": one loop over the logical iteration space,
+  /// fed through in reverse order.
+  Stmt *buildReverseTransformation(const OMPLoopInfo &Info);
+  /// "#pragma omp interchange": the nest rebuilt over the permuted logical
+  /// iteration spaces.
+  Stmt *buildInterchangeTransformation(const std::vector<OMPLoopInfo> &Infos,
                                        std::span<const unsigned> Perm);
-  /// Builds the transformed (shadow) AST for "#pragma omp fuse": one loop
-  /// over the maximal logical iteration space whose body runs iteration t
-  /// of every fused sibling (guarded when trip counts may differ). \p Infos
-  /// holds one entry per *fused* sibling; siblings outside the looprange
-  /// are re-emitted around the fused loop unchanged.
-  Stmt *buildFuseTransformation(OMPFuseDirective *Dir,
-                                const std::vector<OMPLoopInfo> &Infos,
+  /// "#pragma omp fuse": one loop over the maximal logical iteration space
+  /// whose body runs iteration t of every fused sibling (guarded when trip
+  /// counts may differ). \p Infos holds one entry per *fused* sibling;
+  /// siblings outside the looprange are re-emitted around the fused loop
+  /// unchanged. The captured trip counts are appended to \p PreInits.
+  Stmt *buildFuseTransformation(const std::vector<OMPLoopInfo> &Infos,
                                 std::span<Stmt *const> Siblings,
                                 unsigned FirstIdx,
                                 std::vector<Stmt *> &PreInits);
-  /// Builds the transformed (shadow) AST for "#pragma omp distribute_loop":
-  /// one loop per top-level statement group of the original body, run in
-  /// source order over the full logical iteration space.
-  Stmt *buildDistributeTransformation(OMPDistributeLoopDirective *Dir,
-                                      const OMPLoopInfo &Info);
+  /// "#pragma omp distribute_loop": one loop per top-level statement group
+  /// of the original body, run in source order over the full logical
+  /// iteration space.
+  Stmt *buildDistributeTransformation(const OMPLoopInfo &Info);
+  /// The one switch from a nest transformation (tile, unroll, reverse,
+  /// interchange) to its shadow builder, with the parameters its clauses
+  /// fix. Null for fuse and distribute_loop, which associate differently.
+  Stmt *buildTransformedStmt(OMPLoopTransformationDirective *TD,
+                             const std::vector<OMPLoopInfo> &Infos);
   /// Fills the ~30+6n shadow helper expressions of an OMPLoopDirective.
   void buildLoopDirectiveHelpers(OMPLoopDirective *Dir,
                                  const std::vector<OMPLoopInfo> &Infos,
@@ -244,6 +248,9 @@ public:
   /// Wraps \p Info's loop in an OMPCanonicalLoop with the three pieces of
   /// meta-information: distance function, loop-var function, loop-var ref.
   OMPCanonicalLoop *buildOMPCanonicalLoop(const OMPLoopInfo &Info);
+  /// Wraps every loop of the analyzed nest \p Infos in an OMPCanonicalLoop,
+  /// rebuilding outer loops around the wrapped inner ones.
+  Stmt *buildCanonicalLoopNest(const std::vector<OMPLoopInfo> &Infos);
 
   /// Builds a CapturedStmt outlining \p S, capturing every variable
   /// declared outside it, with the standard implicit parameters
@@ -256,14 +263,10 @@ private:
   Stmt *buildLoopDirective(OpenMPDirectiveKind Kind,
                            std::vector<OMPClause *> Clauses, Stmt *AStmt,
                            SourceRange R);
-  Stmt *buildTileDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
-                           SourceRange R);
-  Stmt *buildUnrollDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
-                             SourceRange R);
-  Stmt *buildReverseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
-                              SourceRange R);
-  Stmt *buildInterchangeDirective(std::vector<OMPClause *> Clauses,
-                                  Stmt *AStmt, SourceRange R);
+  /// tile, unroll, reverse and interchange: directives over a perfect nest.
+  Stmt *buildNestTransformDirective(OpenMPDirectiveKind Kind,
+                                    std::vector<OMPClause *> Clauses,
+                                    Stmt *AStmt, SourceRange R);
   Stmt *buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
                            SourceRange R);
   Stmt *buildDistributeLoopDirective(std::vector<OMPClause *> Clauses,
@@ -284,6 +287,21 @@ private:
                                  unsigned NumLoops,
                                  std::span<const unsigned> Perm,
                                  SourceRange R);
+
+  // Pieces every shadow builder shares.
+  /// A DeclStmt declaring the single variable \p V.
+  Stmt *buildDeclStmt(VarDecl *V);
+  /// "for (<decl of IV>; Cond; Inc) Body"; a null \p Inc means "++IV".
+  Stmt *buildShadowLoop(SourceRange R, VarDecl *IV, Expr *Cond, Expr *Inc,
+                        Stmt *Body);
+  /// "{ T iv_k = <value of logical iteration Logicals[k]>; ... Body' }":
+  /// declares the user iteration variable of each loop in \p Infos, then
+  /// a clone of \p Body that refers to those declarations.
+  Stmt *buildMaterializedBody(std::span<const OMPLoopInfo> Infos,
+                              std::span<Expr *const> Logicals, Stmt *Body);
+  /// The PreInits of consumed transformations as one CompoundStmt; null
+  /// when there are none.
+  Stmt *buildPreInits(const std::vector<Stmt *> &PreInits);
 
   /// Collects every VarDecl referenced by \p S but declared outside it.
   std::vector<VarDecl *> computeCaptures(Stmt *S);

@@ -563,15 +563,13 @@ bool Sema::analyzeLoopNest(Stmt *AStmt, OpenMPDirectiveKind Kind,
 
   for (unsigned Depth = 0; Depth < NumLoops; ++Depth) {
     // Allow braces around nested loops, but nothing else (perfect nesting).
-    while (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-      if (CS->size() != 1) {
-        Diags.report(Cur->getBeginLoc(), Depth == 0
-                                             ? diag::err_omp_not_for
-                                             : diag::err_omp_not_perfectly_nested)
-            << std::string(getOpenMPDirectiveName(Kind));
-        return false;
-      }
-      Cur = CS->body()[0];
+    Cur = skipLoopWrappers(Cur);
+    if (stmt_dyn_cast<CompoundStmt>(Cur)) {
+      Diags.report(Cur->getBeginLoc(), Depth == 0
+                                           ? diag::err_omp_not_for
+                                           : diag::err_omp_not_perfectly_nested)
+          << std::string(getOpenMPDirectiveName(Kind));
+      return false;
     }
 
     // A nested loop-transformation directive: consume its generated loop
@@ -601,33 +599,43 @@ bool Sema::analyzeLoopNest(Stmt *AStmt, OpenMPDirectiveKind Kind,
           Diags.report(UD->getBeginLoc(),
                        diag::warn_omp_unroll_factor_forced)
               << Opts.HeuristicUnrollFactor;
-          OMPLoopInfo Inner;
+          std::vector<OMPLoopInfo> Inner(1);
           if (!checkOpenMPCanonicalLoop(UD->getAssociatedStmt(),
-                                        OpenMPDirectiveKind::Unroll, Inner))
+                                        OpenMPDirectiveKind::Unroll,
+                                        Inner.front()))
             return false;
-          UD->setTransformedStmt(buildUnrollPartialTransformation(
-              UD, Inner, Opts.HeuristicUnrollFactor));
+          UD->setTransformedStmt(buildTransformedStmt(UD, Inner));
         }
       }
       if (!TD->getTransformedStmt()) {
+        if (!Opts.OpenMPEnableIRBuilder) {
+          Diags.report(TD->getBeginLoc(),
+                       diag::err_omp_directive_needs_loop_result)
+              << std::string(getOpenMPDirectiveName(Kind));
+          return false;
+        }
         // IRBuilder mode: transformations are applied on CanonicalLoopInfo
-        // handles in CodeGen; Sema cannot descend further. The directive's
-        // loops were validated when the inner directive was built.
-        if (Opts.OpenMPEnableIRBuilder)
-          return true;
-        Diags.report(TD->getBeginLoc(),
-                     diag::err_omp_directive_needs_loop_result)
-            << std::string(getOpenMPDirectiveName(Kind));
-        return false;
+        // handles in CodeGen, so Sema cannot descend further (the inner
+        // directive validated its own loops). CodeGen composes them only
+        // at the top of the nest and only up to the loops they generate.
+        std::string Name(getOpenMPDirectiveName(Kind));
+        if (Depth > 0) {
+          Diags.report(TD->getBeginLoc(),
+                       diag::err_omp_irbuilder_transform_below_loop)
+              << Name
+              << std::string(getOpenMPDirectiveName(TD->getDirectiveKind()));
+          return false;
+        }
+        if (TD->getNumGeneratedLoops() < NumLoops) {
+          Diags.report(AStmt->getBeginLoc(), diag::err_omp_not_enough_loops)
+              << Name << NumLoops << TD->getNumGeneratedLoops();
+          return false;
+        }
+        return true;
       }
       if (Stmt *PI = TD->getPreInits())
         PreInitsFromTransforms.push_back(PI);
-      Cur = TD->getTransformedStmt();
-      while (auto *CS = stmt_dyn_cast<CompoundStmt>(Cur)) {
-        if (CS->size() != 1)
-          break;
-        Cur = CS->body()[0];
-      }
+      Cur = skipLoopWrappers(TD->getTransformedStmt());
     }
 
     OMPLoopInfo Info;
@@ -789,13 +797,10 @@ Stmt *Sema::ActOnOpenMPExecutableDirective(OpenMPDirectiveKind Kind,
   case OpenMPDirectiveKind::ForSimd:
     return buildLoopDirective(Kind, std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::Tile:
-    return buildTileDirective(std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::Unroll:
-    return buildUnrollDirective(std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::Reverse:
-    return buildReverseDirective(std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::Interchange:
-    return buildInterchangeDirective(std::move(Clauses), AStmt, R);
+    return buildNestTransformDirective(Kind, std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::Fuse:
     return buildFuseDirective(std::move(Clauses), AStmt, R);
   case OpenMPDirectiveKind::DistributeLoop:

@@ -129,10 +129,43 @@ Expr *Sema::buildCounterUpdate(const OMPLoopInfo &Info, Expr *CounterRValue) {
 // Section 2: shadow-AST transformations
 // ===------------------------------------------------------------------=== //
 
-Stmt *Sema::buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
-                                             const OMPLoopInfo &Info,
+Stmt *Sema::buildDeclStmt(VarDecl *V) {
+  std::vector<VarDecl *> Decls{V};
+  auto Stored = Ctx.allocateCopy(Decls);
+  return Ctx.create<DeclStmt>(SourceRange(),
+                              std::span<VarDecl *const>(Stored.data(), 1));
+}
+
+Stmt *Sema::buildShadowLoop(SourceRange R, VarDecl *IV, Expr *Cond,
+                            Expr *Inc, Stmt *Body) {
+  if (!Inc)
+    Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
+                       buildDeclRef(IV));
+  return Ctx.create<ForStmt>(R, buildDeclStmt(IV), Cond, Inc, Body);
+}
+
+Stmt *Sema::buildMaterializedBody(std::span<const OMPLoopInfo> Infos,
+                                  std::span<Expr *const> Logicals,
+                                  Stmt *Body) {
+  TreeTransform Clone(Ctx);
+  std::vector<Stmt *> Stmts;
+  for (std::size_t K = 0; K < Infos.size(); ++K) {
+    const OMPLoopInfo &Info = Infos[K];
+    VarDecl *UserIV = Ctx.create<VarDecl>(
+        Info.IterVar->getLocation(), Info.IterVar->getName(), Info.IVType,
+        buildCounterValue(*this, Info, Logicals[K]));
+    Clone.addDeclSubstitution(Info.IterVar, UserIV);
+    Stmts.push_back(buildDeclStmt(UserIV));
+  }
+  Stmts.push_back(Clone.transformStmt(Body));
+  auto Stored = Ctx.allocateCopy(Stmts);
+  return Ctx.create<CompoundStmt>(
+      Body->getSourceRange(),
+      std::span<Stmt *const>(Stored.data(), Stored.size()));
+}
+
+Stmt *Sema::buildUnrollPartialTransformation(const OMPLoopInfo &Info,
                                              unsigned Factor) {
-  (void)Dir;
   QualType LT = Info.LogicalType;
   std::string BaseName(Info.IterVar->getName());
 
@@ -141,16 +174,6 @@ Stmt *Sema::buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
   VarDecl *OuterIV = buildInternalVar(
       Ctx.internString("unrolled.iv." + BaseName), LT,
       buildIntLiteral(0, LT));
-  std::vector<VarDecl *> OuterDecls{OuterIV};
-  auto OuterStored = Ctx.allocateCopy(OuterDecls);
-  Stmt *OuterInit = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(OuterStored.data(), 1));
-  Expr *OuterCond = buildBinOp(BinaryOperatorKind::LT,
-                               buildRValueRef(OuterIV),
-                               buildNumIterationsExpr(Info));
-  Expr *OuterInc =
-      buildBinOp(BinaryOperatorKind::AddAssign, buildDeclRef(OuterIV),
-                 buildIntLiteral(Factor, LT));
 
   // Inner loop: kept as a loop annotated with a LoopHintAttr (paper Fig. 8)
   // instead of duplicating the body; the mid-end LoopUnroll pass performs
@@ -161,10 +184,6 @@ Stmt *Sema::buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
   VarDecl *InnerIV = buildInternalVar(
       Ctx.internString("unroll_inner.iv." + BaseName), LT,
       buildRValueRef(OuterIV));
-  std::vector<VarDecl *> InnerDecls{InnerIV};
-  auto InnerStored = Ctx.allocateCopy(InnerDecls);
-  Stmt *InnerInit = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(InnerStored.data(), 1));
   Expr *TileEnd =
       buildBinOp(BinaryOperatorKind::Add, buildRValueRef(OuterIV),
                  buildIntLiteral(Factor, LT));
@@ -173,32 +192,13 @@ Stmt *Sema::buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
       buildBinOp(BinaryOperatorKind::LT, buildRValueRef(InnerIV), TileEnd),
       buildBinOp(BinaryOperatorKind::LT, buildRValueRef(InnerIV),
                  buildNumIterationsExpr(Info)));
-  Expr *InnerInc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                                buildDeclRef(InnerIV));
 
   // Innermost body: materialize the original iteration variable from the
   // logical iteration number, then the (cloned, re-bound) original body.
-  VarDecl *UserIV = Ctx.create<VarDecl>(
-      Info.IterVar->getLocation(), Info.IterVar->getName(), Info.IVType,
-      buildCounterValue(*this, Info, buildRValueRef(InnerIV)));
-  std::vector<VarDecl *> UserDecls{UserIV};
-  auto UserStored = Ctx.allocateCopy(UserDecls);
-  Stmt *UserInit = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(UserStored.data(), 1));
-
-  TreeTransform BodyClone(Ctx);
-  BodyClone.addDeclSubstitution(Info.IterVar, UserIV);
-  Stmt *ClonedBody = BodyClone.transformStmt(Info.Loop->getBody());
-
-  std::vector<Stmt *> BodyStmts{UserInit, ClonedBody};
-  auto BodyStored = Ctx.allocateCopy(BodyStmts);
-  Stmt *InnerBody = Ctx.create<CompoundStmt>(
-      Info.Loop->getBody()->getSourceRange(),
-      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
-
-  Stmt *InnerLoop = Ctx.create<ForStmt>(Info.Loop->getSourceRange(),
-                                        InnerInit, InnerCond, InnerInc,
-                                        InnerBody);
+  Expr *Logical = buildRValueRef(InnerIV);
+  Stmt *InnerLoop = buildShadowLoop(
+      Info.Loop->getSourceRange(), InnerIV, InnerCond, nullptr,
+      buildMaterializedBody({&Info, 1}, {&Logical, 1}, Info.Loop->getBody()));
 
   const Attr *Hint = Ctx.create<LoopHintAttr>(
       LoopHintAttr::OptionKind::UnrollCount,
@@ -210,8 +210,13 @@ Stmt *Sema::buildUnrollPartialTransformation(OMPUnrollDirective *Dir,
       std::span<const Attr *const>(AttrStored.data(), AttrStored.size()),
       InnerLoop);
 
-  return Ctx.create<ForStmt>(Info.Loop->getSourceRange(), OuterInit,
-                             OuterCond, OuterInc, Attributed);
+  return buildShadowLoop(
+      Info.Loop->getSourceRange(), OuterIV,
+      buildBinOp(BinaryOperatorKind::LT, buildRValueRef(OuterIV),
+                 buildNumIterationsExpr(Info)),
+      buildBinOp(BinaryOperatorKind::AddAssign, buildDeclRef(OuterIV),
+                 buildIntLiteral(Factor, LT)),
+      Attributed);
 }
 
 Stmt *Sema::buildTileTransformation(OMPTileDirective *Dir,
@@ -224,6 +229,7 @@ Stmt *Sema::buildTileTransformation(OMPTileDirective *Dir,
   // materialization + cloned original body), then tile loops n-1..0, then
   // floor loops n-1..0.
   std::vector<VarDecl *> FloorIVs(N), TileIVs(N);
+  std::vector<Expr *> Logicals(N);
   for (unsigned K = 0; K < N; ++K) {
     std::string BaseName(Infos[K].IterVar->getName());
     QualType LT = Infos[K].LogicalType;
@@ -233,92 +239,50 @@ Stmt *Sema::buildTileTransformation(OMPTileDirective *Dir,
     TileIVs[K] = buildInternalVar(
         Ctx.internString(".tile." + std::to_string(K) + ".iv." + BaseName),
         LT, buildRValueRef(FloorIVs[K]));
+    Logicals[K] = buildRValueRef(TileIVs[K]);
   }
-
-  // Innermost: materialize user IVs and clone the body.
-  TreeTransform BodyClone(Ctx);
-  std::vector<Stmt *> BodyStmts;
-  for (unsigned K = 0; K < N; ++K) {
-    VarDecl *UserIV = Ctx.create<VarDecl>(
-        Infos[K].IterVar->getLocation(), Infos[K].IterVar->getName(),
-        Infos[K].IVType,
-        buildCounterValue(*this, Infos[K], buildRValueRef(TileIVs[K])));
-    BodyClone.addDeclSubstitution(Infos[K].IterVar, UserIV);
-    std::vector<VarDecl *> Decls{UserIV};
-    auto Stored = Ctx.allocateCopy(Decls);
-    BodyStmts.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1)));
-  }
-  BodyStmts.push_back(
-      BodyClone.transformStmt(Infos[N - 1].Loop->getBody()));
-  auto BodyStored = Ctx.allocateCopy(BodyStmts);
-  Stmt *Inner = Ctx.create<CompoundStmt>(
-      Infos[N - 1].Loop->getBody()->getSourceRange(),
-      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
+  Stmt *Inner =
+      buildMaterializedBody(Infos, Logicals, Infos[N - 1].Loop->getBody());
 
   // Tile loops, innermost first.
   for (unsigned K = N; K-- > 0;) {
     QualType LT = Infos[K].LogicalType;
-    std::int64_t TileSize = Sizes->getSize(K);
-    std::vector<VarDecl *> Decls{TileIVs[K]};
-    auto Stored = Ctx.allocateCopy(Decls);
-    Stmt *Init = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1));
     Expr *TileEnd = buildBinOp(
         BinaryOperatorKind::Add, buildRValueRef(FloorIVs[K]),
-        buildIntLiteral(static_cast<std::uint64_t>(TileSize), LT));
+        buildIntLiteral(static_cast<std::uint64_t>(Sizes->getSize(K)), LT));
     Expr *Cond = buildBinOp(
         BinaryOperatorKind::LAnd,
         buildBinOp(BinaryOperatorKind::LT, buildRValueRef(TileIVs[K]),
                    TileEnd),
         buildBinOp(BinaryOperatorKind::LT, buildRValueRef(TileIVs[K]),
                    buildNumIterationsExpr(Infos[K])));
-    Expr *Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                             buildDeclRef(TileIVs[K]));
-    Inner = Ctx.create<ForStmt>(Infos[K].Loop->getSourceRange(), Init, Cond,
-                                Inc, Inner);
+    Inner = buildShadowLoop(Infos[K].Loop->getSourceRange(), TileIVs[K], Cond,
+                            nullptr, Inner);
   }
 
   // Floor loops, innermost first.
   for (unsigned K = N; K-- > 0;) {
     QualType LT = Infos[K].LogicalType;
-    std::int64_t TileSize = Sizes->getSize(K);
-    std::vector<VarDecl *> Decls{FloorIVs[K]};
-    auto Stored = Ctx.allocateCopy(Decls);
-    Stmt *Init = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1));
-    Expr *Cond =
+    Inner = buildShadowLoop(
+        Infos[K].Loop->getSourceRange(), FloorIVs[K],
         buildBinOp(BinaryOperatorKind::LT, buildRValueRef(FloorIVs[K]),
-                   buildNumIterationsExpr(Infos[K]));
-    Expr *Inc = buildBinOp(
-        BinaryOperatorKind::AddAssign, buildDeclRef(FloorIVs[K]),
-        buildIntLiteral(static_cast<std::uint64_t>(TileSize), LT));
-    Inner = Ctx.create<ForStmt>(Infos[K].Loop->getSourceRange(), Init, Cond,
-                                Inc, Inner);
+                   buildNumIterationsExpr(Infos[K])),
+        buildBinOp(BinaryOperatorKind::AddAssign, buildDeclRef(FloorIVs[K]),
+                   buildIntLiteral(
+                       static_cast<std::uint64_t>(Sizes->getSize(K)), LT)),
+        Inner);
   }
-
   return Inner;
 }
 
-Stmt *Sema::buildReverseTransformation(OMPReverseDirective *Dir,
-                                       const OMPLoopInfo &Info) {
-  (void)Dir;
+Stmt *Sema::buildReverseTransformation(const OMPLoopInfo &Info) {
   QualType LT = Info.LogicalType;
-  std::string BaseName(Info.IterVar->getName());
 
   // One loop over the logical iteration space:
   //   for (LT reversed.iv.NAME = 0; reversed.iv < N; ++reversed.iv)
   VarDecl *RevIV = buildInternalVar(
-      Ctx.internString("reversed.iv." + BaseName), LT,
-      buildIntLiteral(0, LT));
-  std::vector<VarDecl *> Decls{RevIV};
-  auto Stored = Ctx.allocateCopy(Decls);
-  Stmt *Init = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(Stored.data(), 1));
-  Expr *Cond = buildBinOp(BinaryOperatorKind::LT, buildRValueRef(RevIV),
-                          buildNumIterationsExpr(Info));
-  Expr *Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                           buildDeclRef(RevIV));
+      Ctx.internString("reversed.iv." + std::string(Info.IterVar->getName())),
+      LT, buildIntLiteral(0, LT));
 
   // Body: materialize the user variable from the *mirrored* logical
   // iteration (N-1) - reversed.iv, then the cloned original body.
@@ -327,32 +291,16 @@ Stmt *Sema::buildReverseTransformation(OMPReverseDirective *Dir,
       buildBinOp(BinaryOperatorKind::Sub, buildNumIterationsExpr(Info),
                  buildIntLiteral(1, LT)),
       buildRValueRef(RevIV));
-  VarDecl *UserIV = Ctx.create<VarDecl>(
-      Info.IterVar->getLocation(), Info.IterVar->getName(), Info.IVType,
-      buildCounterValue(*this, Info, Mirrored));
-  std::vector<VarDecl *> UserDecls{UserIV};
-  auto UserStored = Ctx.allocateCopy(UserDecls);
-  Stmt *UserInit = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(UserStored.data(), 1));
-
-  TreeTransform BodyClone(Ctx);
-  BodyClone.addDeclSubstitution(Info.IterVar, UserIV);
-  Stmt *ClonedBody = BodyClone.transformStmt(Info.Loop->getBody());
-
-  std::vector<Stmt *> BodyStmts{UserInit, ClonedBody};
-  auto BodyStored = Ctx.allocateCopy(BodyStmts);
-  Stmt *Body = Ctx.create<CompoundStmt>(
-      Info.Loop->getBody()->getSourceRange(),
-      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
-
-  return Ctx.create<ForStmt>(Info.Loop->getSourceRange(), Init, Cond, Inc,
-                             Body);
+  return buildShadowLoop(
+      Info.Loop->getSourceRange(), RevIV,
+      buildBinOp(BinaryOperatorKind::LT, buildRValueRef(RevIV),
+                 buildNumIterationsExpr(Info)),
+      nullptr,
+      buildMaterializedBody({&Info, 1}, {&Mirrored, 1}, Info.Loop->getBody()));
 }
 
 Stmt *Sema::buildInterchangeTransformation(
-    OMPInterchangeDirective *Dir, const std::vector<OMPLoopInfo> &Infos,
-    std::span<const unsigned> Perm) {
-  (void)Dir;
+    const std::vector<OMPLoopInfo> &Infos, std::span<const unsigned> Perm) {
   unsigned N = static_cast<unsigned>(Infos.size());
 
   // Position-indexed internal IVs: position P iterates the logical space
@@ -370,41 +318,153 @@ Stmt *Sema::buildInterchangeTransformation(
 
   // Innermost body: materialize the user variables (in original level
   // order) from their position's counter, then the cloned original body.
-  TreeTransform BodyClone(Ctx);
-  std::vector<Stmt *> BodyStmts;
-  for (unsigned K = 0; K < N; ++K) {
-    VarDecl *UserIV = Ctx.create<VarDecl>(
-        Infos[K].IterVar->getLocation(), Infos[K].IterVar->getName(),
-        Infos[K].IVType,
-        buildCounterValue(*this, Infos[K],
-                          buildRValueRef(PosIVs[PosOfLevel[K]])));
-    BodyClone.addDeclSubstitution(Infos[K].IterVar, UserIV);
-    std::vector<VarDecl *> Decls{UserIV};
-    auto Stored = Ctx.allocateCopy(Decls);
-    BodyStmts.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1)));
-  }
-  BodyStmts.push_back(BodyClone.transformStmt(Infos[N - 1].Loop->getBody()));
-  auto BodyStored = Ctx.allocateCopy(BodyStmts);
-  Stmt *Inner = Ctx.create<CompoundStmt>(
-      Infos[N - 1].Loop->getBody()->getSourceRange(),
-      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
+  std::vector<Expr *> Logicals(N);
+  for (unsigned K = 0; K < N; ++K)
+    Logicals[K] = buildRValueRef(PosIVs[PosOfLevel[K]]);
+  Stmt *Inner =
+      buildMaterializedBody(Infos, Logicals, Infos[N - 1].Loop->getBody());
 
   // Loops, innermost position first.
   for (unsigned P = N; P-- > 0;) {
     unsigned L = Perm[P];
-    std::vector<VarDecl *> Decls{PosIVs[P]};
-    auto Stored = Ctx.allocateCopy(Decls);
-    Stmt *Init = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1));
-    Expr *Cond = buildBinOp(BinaryOperatorKind::LT, buildRValueRef(PosIVs[P]),
-                            buildNumIterationsExpr(Infos[L]));
-    Expr *Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                             buildDeclRef(PosIVs[P]));
-    Inner = Ctx.create<ForStmt>(Infos[L].Loop->getSourceRange(), Init, Cond,
-                                Inc, Inner);
+    Inner = buildShadowLoop(
+        Infos[L].Loop->getSourceRange(), PosIVs[P],
+        buildBinOp(BinaryOperatorKind::LT, buildRValueRef(PosIVs[P]),
+                   buildNumIterationsExpr(Infos[L])),
+        nullptr, Inner);
   }
   return Inner;
+}
+
+Stmt *Sema::buildFuseTransformation(const std::vector<OMPLoopInfo> &Infos,
+                                    std::span<Stmt *const> Siblings,
+                                    unsigned FirstIdx,
+                                    std::vector<Stmt *> &PreInits) {
+  unsigned N = static_cast<unsigned>(Infos.size());
+  QualType LT = Ctx.getULongType();
+
+  // Whether every member has the same constant trip count — then the
+  // per-member guards are provably always true and are omitted.
+  bool AllEqualConst = true;
+  for (const OMPLoopInfo &I : Infos)
+    if (!I.ConstantTripCount ||
+        *I.ConstantTripCount != *Infos.front().ConstantTripCount) {
+      AllEqualConst = false;
+      break;
+    }
+
+  // Trip counts captured once in PreInits ('.capture_expr.' style) so the
+  // fused bound and the guards agree, and the transformed statement stays
+  // consumable by an enclosing directive.
+  std::vector<VarDecl *> NVars(N);
+  for (unsigned K = 0; K < N; ++K) {
+    NVars[K] = buildInternalVar(
+        Ctx.internString(".fuse.n" + std::to_string(K)), LT,
+        convertTo(buildNumIterationsExpr(Infos[K]), LT, SourceLocation()));
+    PreInits.push_back(buildDeclStmt(NVars[K]));
+  }
+  Expr *MaxInit = buildRValueRef(NVars[0]);
+  for (unsigned K = 1; K < N; ++K) {
+    Expr *Gt = buildBinOp(BinaryOperatorKind::GT, buildRValueRef(NVars[K]),
+                          cloneExpr(Ctx, MaxInit));
+    MaxInit = ActOnConditionalOp(SourceLocation(), Gt,
+                                 buildRValueRef(NVars[K]), MaxInit);
+  }
+  VarDecl *MaxVar =
+      buildInternalVar(Ctx.internString(".fuse.max"), LT, MaxInit);
+  PreInits.push_back(buildDeclStmt(MaxVar));
+
+  // One loop over the maximal logical iteration space:
+  //   for (ULong fused.iv = 0; fused.iv < .fuse.max; ++fused.iv)
+  VarDecl *FusedIV = buildInternalVar(Ctx.internString("fused.iv"), LT,
+                                      buildIntLiteral(0, LT));
+
+  // Body: iteration t of every member in sibling order — materialize the
+  // member's iteration variable, then its cloned body, guarded by
+  // "fused.iv < n_k" when trip counts may differ.
+  std::vector<Stmt *> BodyStmts;
+  for (unsigned K = 0; K < N; ++K) {
+    Expr *Logical = buildRValueRef(FusedIV);
+    Stmt *Member = buildMaterializedBody({&Infos[K], 1}, {&Logical, 1},
+                                         Infos[K].Loop->getBody());
+    if (!AllEqualConst) {
+      Expr *Guard =
+          buildBinOp(BinaryOperatorKind::LT, buildRValueRef(FusedIV),
+                     buildRValueRef(NVars[K]));
+      Member = ActOnIfStmt(SourceRange(), Guard, Member, nullptr);
+    }
+    BodyStmts.push_back(Member);
+  }
+  auto BodyStored = Ctx.allocateCopy(BodyStmts);
+  SourceRange FusedRange(Siblings[FirstIdx]->getBeginLoc(),
+                         Siblings[FirstIdx + N - 1]->getEndLoc());
+  Stmt *Body = Ctx.create<CompoundStmt>(
+      FusedRange,
+      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
+  Stmt *FusedLoop = buildShadowLoop(
+      FusedRange, FusedIV,
+      buildBinOp(BinaryOperatorKind::LT, buildRValueRef(FusedIV),
+                 buildRValueRef(MaxVar)),
+      nullptr, Body);
+
+  // Siblings outside the looprange are re-emitted around the fused loop.
+  std::vector<Stmt *> Out(Siblings.begin(), Siblings.begin() + FirstIdx);
+  Out.push_back(FusedLoop);
+  Out.insert(Out.end(), Siblings.begin() + FirstIdx + N, Siblings.end());
+  auto OutStored = Ctx.allocateCopy(Out);
+  return Ctx.create<CompoundStmt>(
+      FusedRange, std::span<Stmt *const>(OutStored.data(), OutStored.size()));
+}
+
+Stmt *Sema::buildDistributeTransformation(const OMPLoopInfo &Info) {
+  QualType LT = Info.LogicalType;
+  const auto *Body = stmt_cast<CompoundStmt>(Info.Loop->getBody());
+  std::string BaseName(Info.IterVar->getName());
+
+  // Shared trip count, evaluated once before the loop sequence.
+  VarDecl *NVar =
+      buildInternalVar(Ctx.internString(".distribute.n." + BaseName), LT,
+                       buildNumIterationsExpr(Info));
+  std::vector<Stmt *> Out{buildDeclStmt(NVar)};
+
+  // One loop per statement group, in source order, each over the full
+  // logical iteration space.
+  unsigned G = 0;
+  for (Stmt *GroupStmt : Body->body()) {
+    VarDecl *DistIV = buildInternalVar(
+        Ctx.internString("distributed." + std::to_string(G++) + ".iv." +
+                         BaseName),
+        LT, buildIntLiteral(0, LT));
+    Expr *Logical = buildRValueRef(DistIV);
+    Out.push_back(buildShadowLoop(
+        Info.Loop->getSourceRange(), DistIV,
+        buildBinOp(BinaryOperatorKind::LT, buildRValueRef(DistIV),
+                   buildRValueRef(NVar)),
+        nullptr, buildMaterializedBody({&Info, 1}, {&Logical, 1}, GroupStmt)));
+  }
+  auto OutStored = Ctx.allocateCopy(Out);
+  return Ctx.create<CompoundStmt>(
+      Info.Loop->getSourceRange(),
+      std::span<Stmt *const>(OutStored.data(), OutStored.size()));
+}
+
+Stmt *Sema::buildTransformedStmt(OMPLoopTransformationDirective *TD,
+                                 const std::vector<OMPLoopInfo> &Infos) {
+  switch (TD->getDirectiveKind()) {
+  case OpenMPDirectiveKind::Tile:
+    return buildTileTransformation(stmt_cast<OMPTileDirective>(TD), Infos);
+  case OpenMPDirectiveKind::Unroll:
+    return buildUnrollPartialTransformation(
+        Infos.front(), stmt_cast<OMPUnrollDirective>(TD)->getUnrollFactor(
+                           Opts.HeuristicUnrollFactor));
+  case OpenMPDirectiveKind::Reverse:
+    return buildReverseTransformation(Infos.front());
+  case OpenMPDirectiveKind::Interchange:
+    return buildInterchangeTransformation(
+        Infos, stmt_cast<OMPInterchangeDirective>(TD)->getPermutation());
+  default:
+    return nullptr;
+  }
 }
 
 void Sema::buildLoopDirectiveHelpers(OMPLoopDirective *Dir,
@@ -433,10 +493,7 @@ void Sema::buildLoopDirectiveHelpers(OMPLoopDirective *Dir,
     TripCountVars[K] = buildInternalVar(
         Ctx.internString(".capture_expr.n" + std::to_string(K)), LT,
         NumIterK);
-    std::vector<VarDecl *> Decls{TripCountVars[K]};
-    auto Stored = Ctx.allocateCopy(Decls);
-    PreInitStmts.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(Stored.data(), 1)));
+    PreInitStmts.push_back(buildDeclStmt(TripCountVars[K]));
   }
   auto PreStored = Ctx.allocateCopy(PreInitStmts);
   H.PreInits = Ctx.create<CompoundStmt>(
@@ -611,6 +668,24 @@ OMPCanonicalLoop *Sema::buildOMPCanonicalLoop(const OMPLoopInfo &Info) {
 
 namespace {
 
+/// Reports the dependence oracle's refusal of a transformation: the
+/// violated dependence with a note at its source access, or what made the
+/// nest unprovable.
+void reportTransformRefusal(DiagnosticsEngine &Diags, OpenMPDirectiveKind Kind,
+                            const analysis::Legality &L, SourceLocation Loc) {
+  std::string Name(getOpenMPDirectiveName(Kind));
+  if (!L.Blocking) {
+    Diags.report(Loc, diag::err_omp_transform_not_analyzable)
+        << Name << L.Reason;
+    return;
+  }
+  Diags.report(Loc, diag::err_omp_transform_illegal_dep) << Name << L.Reason;
+  if (L.Blocking->SrcLoc.isValid())
+    Diags.report(L.Blocking->SrcLoc, diag::note_omp_dependence_source)
+        << (L.Blocking->Base ? std::string(L.Blocking->Base->getName())
+                             : std::string("<unknown>"));
+}
+
 /// Replaces the (unique) occurrence of \p Target within \p S, rebuilding
 /// enclosing CompoundStmts as needed. Used to wrap inner loops of a nest in
 /// OMPCanonicalLoop nodes.
@@ -635,7 +710,62 @@ Stmt *replaceStmt(ASTContext &Ctx, Stmt *S, Stmt *Target, Stmt *Replacement) {
   return S;
 }
 
+/// Collects every variable declared anywhere within \p S.
+void collectLocalDecls(const Stmt *S, std::set<const VarDecl *> &Out) {
+  if (!S)
+    return;
+  if (const auto *DS = stmt_dyn_cast<DeclStmt>(S))
+    for (VarDecl *D : DS->decls())
+      Out.insert(D);
+  for (const Stmt *Child : S->children())
+    collectLocalDecls(Child, Out);
+}
+
+/// First reference within \p S to any variable in \p Vars; null if none.
+const DeclRefExpr *findRefToAny(const Stmt *S,
+                                const std::set<const VarDecl *> &Vars) {
+  if (!S)
+    return nullptr;
+  if (const auto *DRE = stmt_dyn_cast<DeclRefExpr>(S))
+    if (const auto *VD = decl_dyn_cast<VarDecl>(DRE->getDecl()))
+      if (Vars.count(VD))
+        return DRE;
+  for (const Stmt *Child : S->children())
+    if (const DeclRefExpr *Found = findRefToAny(Child, Vars))
+      return Found;
+  return nullptr;
+}
+
 } // namespace
+
+Stmt *Sema::buildCanonicalLoopNest(const std::vector<OMPLoopInfo> &Infos) {
+  // Wrap every member loop of the nest in an OMPCanonicalLoop, innermost
+  // first (outer loops are rebuilt so their bodies point at the wrapped
+  // inner loops).
+  Stmt *Wrapped = nullptr;
+  for (unsigned K = static_cast<unsigned>(Infos.size()); K-- > 0;) {
+    ForStmt *Loop = Infos[K].Loop;
+    Stmt *NewLoop = Loop;
+    if (Wrapped) {
+      Stmt *NewBody =
+          replaceStmt(Ctx, Loop->getBody(), Infos[K + 1].Loop, Wrapped);
+      NewLoop = Ctx.create<ForStmt>(Loop->getSourceRange(), Loop->getInit(),
+                                    Loop->getCond(), Loop->getInc(), NewBody);
+    }
+    OMPLoopInfo WrapInfo = Infos[K];
+    WrapInfo.Loop = stmt_cast<ForStmt>(NewLoop);
+    Wrapped = buildOMPCanonicalLoop(WrapInfo);
+  }
+  return Wrapped;
+}
+
+Stmt *Sema::buildPreInits(const std::vector<Stmt *> &PreInits) {
+  if (PreInits.empty())
+    return nullptr;
+  auto Stored = Ctx.allocateCopy(PreInits);
+  return Ctx.create<CompoundStmt>(
+      SourceRange(), std::span<Stmt *const>(Stored.data(), Stored.size()));
+}
 
 Stmt *Sema::buildLoopDirective(OpenMPDirectiveKind Kind,
                                std::vector<OMPClause *> Clauses, Stmt *AStmt,
@@ -652,32 +782,12 @@ Stmt *Sema::buildLoopDirective(OpenMPDirectiveKind Kind,
   if (!analyzeLoopNest(AStmt, Kind, NumLoops, Infos, TransformPreInits))
     return nullptr;
 
+  // In IRBuilder mode a nest that is a nested transformation's output
+  // (fewer literal loops than associated) lowers on CanonicalLoopInfo
+  // handles in CodeGen and keeps its statement as is.
   Stmt *Assoc = AStmt;
-  bool ConsumesIRBuilderTransform =
-      Opts.OpenMPEnableIRBuilder && Infos.size() < NumLoops;
-
-  if (Opts.OpenMPEnableIRBuilder && !ConsumesIRBuilderTransform) {
-    // Wrap every member loop of the nest in an OMPCanonicalLoop,
-    // innermost first (outer loops are rebuilt so their bodies point at
-    // the wrapped inner loops).
-    Stmt *Wrapped = nullptr;
-    for (unsigned K = static_cast<unsigned>(Infos.size()); K-- > 0;) {
-      ForStmt *Loop = Infos[K].Loop;
-      Stmt *NewLoop = Loop;
-      if (Wrapped) {
-        Stmt *NewBody =
-            replaceStmt(Ctx, Loop->getBody(), Infos[K + 1].Loop, Wrapped);
-        NewLoop = Ctx.create<ForStmt>(Loop->getSourceRange(),
-                                      Loop->getInit(), Loop->getCond(),
-                                      Loop->getInc(), NewBody);
-      }
-      OMPLoopInfo WrapInfo = Infos[K];
-      WrapInfo.Loop = stmt_cast<ForStmt>(NewLoop);
-      Wrapped = buildOMPCanonicalLoop(WrapInfo);
-    }
-    Assoc = Wrapped;
-  }
-
+  if (Opts.OpenMPEnableIRBuilder && Infos.size() == NumLoops)
+    Assoc = buildCanonicalLoopNest(Infos);
   if (isOpenMPParallelDirective(Kind))
     Assoc = buildCaptureForOutlining(Assoc, {});
 
@@ -702,85 +812,22 @@ Stmt *Sema::buildLoopDirective(OpenMPDirectiveKind Kind,
     return nullptr;
   }
 
-  if (!Opts.OpenMPEnableIRBuilder) {
-    Stmt *ExtraPreInits = nullptr;
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      ExtraPreInits = Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size()));
-    }
-    buildLoopDirectiveHelpers(Dir, Infos, ExtraPreInits);
-  }
+  if (!Opts.OpenMPEnableIRBuilder)
+    buildLoopDirectiveHelpers(Dir, Infos, buildPreInits(TransformPreInits));
   return Dir;
 }
 
-Stmt *Sema::buildTileDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
-                               SourceRange R) {
-  if (!AStmt)
-    return nullptr;
-  const OMPSizesClause *Sizes = nullptr;
-  for (const OMPClause *C : Clauses)
-    if (const auto *SC = clause_dyn_cast<OMPSizesClause>(C))
-      Sizes = SC;
-  if (!Sizes) {
-    Diags.report(R.getBegin(), diag::err_omp_tile_requires_sizes);
-    return nullptr;
-  }
-  unsigned NumLoops = Sizes->getNumSizes();
-
-  std::vector<OMPLoopInfo> Infos;
-  std::vector<Stmt *> TransformPreInits;
-  if (!analyzeLoopNest(AStmt, OpenMPDirectiveKind::Tile, NumLoops, Infos,
-                       TransformPreInits))
-    return nullptr;
-
-  Stmt *Assoc = AStmt;
-  bool ConsumesIRBuilderTransform =
-      Opts.OpenMPEnableIRBuilder && Infos.size() < NumLoops;
-  if (Opts.OpenMPEnableIRBuilder && !ConsumesIRBuilderTransform) {
-    // Tile in IRBuilder mode supports a perfect nest of literal loops;
-    // wrap each member loop.
-    Stmt *Wrapped = nullptr;
-    for (unsigned K = static_cast<unsigned>(Infos.size()); K-- > 0;) {
-      ForStmt *Loop = Infos[K].Loop;
-      Stmt *NewLoop = Loop;
-      if (Wrapped) {
-        Stmt *NewBody =
-            replaceStmt(Ctx, Loop->getBody(), Infos[K + 1].Loop, Wrapped);
-        NewLoop = Ctx.create<ForStmt>(Loop->getSourceRange(),
-                                      Loop->getInit(), Loop->getCond(),
-                                      Loop->getInc(), NewBody);
-      }
-      OMPLoopInfo WrapInfo = Infos[K];
-      WrapInfo.Loop = stmt_cast<ForStmt>(NewLoop);
-      Wrapped = buildOMPCanonicalLoop(WrapInfo);
-    }
-    Assoc = Wrapped;
-  }
-
-  auto Stored = Ctx.allocateCopy(Clauses);
-  auto *Dir = Ctx.create<OMPTileDirective>(
-      R, std::span<OMPClause *const>(Stored.data(), Stored.size()), Assoc,
-      NumLoops);
-
-  if (!Opts.OpenMPEnableIRBuilder) {
-    Dir->setTransformedStmt(buildTileTransformation(Dir, Infos));
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      Dir->setPreInits(Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size())));
-    }
-  }
-  return Dir;
-}
-
-Stmt *Sema::buildUnrollDirective(std::vector<OMPClause *> Clauses,
-                                 Stmt *AStmt, SourceRange R) {
+Stmt *Sema::buildNestTransformDirective(OpenMPDirectiveKind Kind,
+                                        std::vector<OMPClause *> Clauses,
+                                        Stmt *AStmt, SourceRange R) {
   if (!AStmt)
     return nullptr;
 
+  // Clauses -> parameters: the association depth (tile: one loop per size;
+  // interchange: one per permutation entry, default swap of two) and the
+  // validated permutation.
+  unsigned NumLoops = 1;
+  std::vector<unsigned> Perm;
   const OMPFullClause *Full = nullptr;
   const OMPPartialClause *Partial = nullptr;
   for (const OMPClause *C : Clauses) {
@@ -789,54 +836,102 @@ Stmt *Sema::buildUnrollDirective(std::vector<OMPClause *> Clauses,
     if (const auto *PC = clause_dyn_cast<OMPPartialClause>(C))
       Partial = PC;
   }
-  if (Full && Partial) {
-    Diags.report(R.getBegin(), diag::err_omp_unroll_full_with_partial);
-    return nullptr;
+  switch (Kind) {
+  case OpenMPDirectiveKind::Tile: {
+    const OMPSizesClause *Sizes = nullptr;
+    for (const OMPClause *C : Clauses)
+      if (const auto *SC = clause_dyn_cast<OMPSizesClause>(C))
+        Sizes = SC;
+    if (!Sizes) {
+      Diags.report(R.getBegin(), diag::err_omp_tile_requires_sizes);
+      return nullptr;
+    }
+    NumLoops = Sizes->getNumSizes();
+    break;
+  }
+  case OpenMPDirectiveKind::Unroll:
+    if (Full && Partial) {
+      Diags.report(R.getBegin(), diag::err_omp_unroll_full_with_partial);
+      return nullptr;
+    }
+    break;
+  case OpenMPDirectiveKind::Interchange: {
+    const OMPPermutationClause *PermC = nullptr;
+    for (const OMPClause *C : Clauses)
+      if (const auto *PC = clause_dyn_cast<OMPPermutationClause>(C))
+        PermC = PC;
+    if (!PermC) {
+      Perm = {1, 0};
+    } else {
+      unsigned N = PermC->getNumArgs();
+      std::vector<bool> Used(N, false);
+      for (unsigned I = 0; I < N; ++I) {
+        std::int64_t V = PermC->getArg(I);
+        if (V < 1 || V > N || Used[static_cast<unsigned>(V - 1)]) {
+          Diags.report(PermC->getBeginLoc(),
+                       diag::err_omp_permutation_invalid)
+              << N;
+          return nullptr;
+        }
+        Used[static_cast<unsigned>(V - 1)] = true;
+        Perm.push_back(static_cast<unsigned>(V - 1));
+      }
+    }
+    NumLoops = static_cast<unsigned>(Perm.size());
+    break;
+  }
+  default:
+    break;
   }
 
   std::vector<OMPLoopInfo> Infos;
   std::vector<Stmt *> TransformPreInits;
-  if (!analyzeLoopNest(AStmt, OpenMPDirectiveKind::Unroll, 1, Infos,
-                       TransformPreInits))
+  if (!analyzeLoopNest(AStmt, Kind, NumLoops, Infos, TransformPreInits))
     return nullptr;
+  // IRBuilder mode: the nest is a nested transformation's output, composed
+  // on CanonicalLoopInfo handles in CodeGen.
+  bool ConsumesTransform = Infos.size() < NumLoops;
 
-  bool ConsumesIRBuilderTransform =
-      Opts.OpenMPEnableIRBuilder && Infos.empty();
-
-  if (Full && !ConsumesIRBuilderTransform &&
-      !Infos.front().ConstantTripCount) {
+  if (Full && !ConsumesTransform && !Infos.front().ConstantTripCount) {
     Diags.report(Infos.front().Loop->getBeginLoc(),
                  diag::err_omp_unroll_full_variable_trip_count);
     return nullptr;
   }
+  if ((Kind == OpenMPDirectiveKind::Reverse ||
+       Kind == OpenMPDirectiveKind::Interchange) &&
+      !checkTransformDependences(AStmt, Kind, NumLoops, Perm, R))
+    return nullptr;
 
   Stmt *Assoc = AStmt;
-  if (Opts.OpenMPEnableIRBuilder && !ConsumesIRBuilderTransform)
-    Assoc = buildOMPCanonicalLoop(Infos.front());
+  if (Opts.OpenMPEnableIRBuilder && !ConsumesTransform)
+    Assoc = buildCanonicalLoopNest(Infos);
 
   auto Stored = Ctx.allocateCopy(Clauses);
-  auto *Dir = Ctx.create<OMPUnrollDirective>(
-      R, std::span<OMPClause *const>(Stored.data(), Stored.size()), Assoc);
+  std::span<OMPClause *const> ClauseSpan(Stored.data(), Stored.size());
+  OMPLoopTransformationDirective *Dir = nullptr;
+  switch (Kind) {
+  case OpenMPDirectiveKind::Tile:
+    Dir = Ctx.create<OMPTileDirective>(R, ClauseSpan, Assoc, NumLoops);
+    break;
+  case OpenMPDirectiveKind::Unroll:
+    Dir = Ctx.create<OMPUnrollDirective>(R, ClauseSpan, Assoc);
+    break;
+  case OpenMPDirectiveKind::Reverse:
+    Dir = Ctx.create<OMPReverseDirective>(R, ClauseSpan, Assoc);
+    break;
+  default:
+    Dir = Ctx.create<OMPInterchangeDirective>(R, ClauseSpan, Assoc, NumLoops);
+    break;
+  }
 
   if (!Opts.OpenMPEnableIRBuilder) {
     // A transformed AST is only necessary if the replacement can be
-    // associated with another directive, which OpenMP only permits when
-    // the partial clause is present. Full/heuristic unrolling is deferred
-    // to the mid-end via loop metadata instead (Section 2.2).
-    if (Partial) {
-      unsigned Factor = Partial->getFactor()
-                            ? static_cast<unsigned>(
-                                  Partial->getFactor()->getResult())
-                            : Opts.HeuristicUnrollFactor;
-      Dir->setTransformedStmt(
-          buildUnrollPartialTransformation(Dir, Infos.front(), Factor));
-    }
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      Dir->setPreInits(Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size())));
-    }
+    // associated with another directive, which OpenMP only permits for
+    // unroll when the partial clause is present. Full/heuristic unrolling
+    // is deferred to the mid-end via loop metadata instead (Section 2.2).
+    if (Kind != OpenMPDirectiveKind::Unroll || Partial)
+      Dir->setTransformedStmt(buildTransformedStmt(Dir, Infos));
+    Dir->setPreInits(buildPreInits(TransformPreInits));
   }
   return Dir;
 }
@@ -850,62 +945,12 @@ bool Sema::checkTransformDependences(Stmt *AStmt, OpenMPDirectiveKind Kind,
   // transform unprovable and therefore refused — these directives reorder
   // iterations, so "cannot prove" must not degrade to "assume legal".
   using analysis::DependenceInfo;
-  using analysis::Legality;
   DependenceInfo Info = DependenceInfo::analyze(AStmt, NumLoops);
-  Legality L = Perm.empty() ? Info.isLegalReverse(0)
-                            : Info.isLegalInterchange(Perm);
-  if (L)
-    return true;
-  std::string Name(getOpenMPDirectiveName(Kind));
-  if (L.Blocking) {
-    Diags.report(R.getBegin(), diag::err_omp_transform_illegal_dep)
-        << Name << L.Reason;
-    if (L.Blocking->SrcLoc.isValid())
-      Diags.report(L.Blocking->SrcLoc, diag::note_omp_dependence_source)
-          << (L.Blocking->Base ? std::string(L.Blocking->Base->getName())
-                               : std::string("<unknown>"));
-  } else {
-    Diags.report(R.getBegin(), diag::err_omp_transform_not_analyzable)
-        << Name << L.Reason;
-  }
-  return false;
-}
-
-Stmt *Sema::buildReverseDirective(std::vector<OMPClause *> Clauses,
-                                  Stmt *AStmt, SourceRange R) {
-  if (!AStmt)
-    return nullptr;
-
-  std::vector<OMPLoopInfo> Infos;
-  std::vector<Stmt *> TransformPreInits;
-  if (!analyzeLoopNest(AStmt, OpenMPDirectiveKind::Reverse, 1, Infos,
-                       TransformPreInits))
-    return nullptr;
-
-  if (!checkTransformDependences(AStmt, OpenMPDirectiveKind::Reverse, 1, {},
-                                 R))
-    return nullptr;
-
-  bool ConsumesIRBuilderTransform =
-      Opts.OpenMPEnableIRBuilder && Infos.empty();
-  Stmt *Assoc = AStmt;
-  if (Opts.OpenMPEnableIRBuilder && !ConsumesIRBuilderTransform)
-    Assoc = buildOMPCanonicalLoop(Infos.front());
-
-  auto Stored = Ctx.allocateCopy(Clauses);
-  auto *Dir = Ctx.create<OMPReverseDirective>(
-      R, std::span<OMPClause *const>(Stored.data(), Stored.size()), Assoc);
-
-  if (!Opts.OpenMPEnableIRBuilder) {
-    Dir->setTransformedStmt(buildReverseTransformation(Dir, Infos.front()));
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      Dir->setPreInits(Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size())));
-    }
-  }
-  return Dir;
+  analysis::Legality L = Perm.empty() ? Info.isLegalReverse(0)
+                                      : Info.isLegalInterchange(Perm);
+  if (!L)
+    reportTransformRefusal(Diags, Kind, L, R.getBegin());
+  return static_cast<bool>(L);
 }
 
 Stmt *Sema::buildTransformedForAnalysis(OMPLoopTransformationDirective *TD) {
@@ -914,60 +959,19 @@ Stmt *Sema::buildTransformedForAnalysis(OMPLoopTransformationDirective *TD) {
   // IRBuilder mode leaves TransformedStmt null (the transformation is
   // composed on CanonicalLoopInfo handles in CodeGen). The dependence
   // oracle still needs a syntactic loop to reason about, so rebuild the
-  // Section-2 shadow AST for analysis only; it is never emitted.
+  // Section-2 shadow AST for analysis only; it is never emitted. Full
+  // unrolling leaves no loop, and fuse/distribute_loop compositions stay
+  // opaque to the oracle.
+  OpenMPDirectiveKind Kind = TD->getDirectiveKind();
+  if (Kind == OpenMPDirectiveKind::Fuse || TD->getNumGeneratedLoops() == 0)
+    return nullptr;
+  unsigned N = TD->getLoopsNumber();
   std::vector<OMPLoopInfo> Infos;
   std::vector<Stmt *> Pre;
-  switch (TD->getDirectiveKind()) {
-  case OpenMPDirectiveKind::Tile: {
-    auto *Dir = stmt_cast<OMPTileDirective>(TD);
-    unsigned N = Dir->getLoopsNumber();
-    if (!analyzeLoopNest(Dir->getAssociatedStmt(), OpenMPDirectiveKind::Tile,
-                         N, Infos, Pre) ||
-        Infos.size() < N)
-      return nullptr;
-    return buildTileTransformation(Dir, Infos);
-  }
-  case OpenMPDirectiveKind::Unroll: {
-    auto *Dir = stmt_cast<OMPUnrollDirective>(TD);
-    if (Dir->hasFullClause())
-      return nullptr;
-    if (!analyzeLoopNest(Dir->getAssociatedStmt(),
-                         OpenMPDirectiveKind::Unroll, 1, Infos, Pre) ||
-        Infos.empty())
-      return nullptr;
-    unsigned Factor = Opts.HeuristicUnrollFactor;
-    if (const auto *PC = Dir->getSingleClause<OMPPartialClause>())
-      if (PC->getFactor())
-        Factor = static_cast<unsigned>(PC->getFactor()->getResult());
-    return buildUnrollPartialTransformation(Dir, Infos.front(), Factor);
-  }
-  case OpenMPDirectiveKind::Reverse: {
-    auto *Dir = stmt_cast<OMPReverseDirective>(TD);
-    if (!analyzeLoopNest(Dir->getAssociatedStmt(),
-                         OpenMPDirectiveKind::Reverse, 1, Infos, Pre) ||
-        Infos.empty())
-      return nullptr;
-    return buildReverseTransformation(Dir, Infos.front());
-  }
-  case OpenMPDirectiveKind::Interchange: {
-    auto *Dir = stmt_cast<OMPInterchangeDirective>(TD);
-    std::vector<unsigned> Perm{1, 0};
-    if (const auto *PC = Dir->getSingleClause<OMPPermutationClause>()) {
-      Perm.clear();
-      for (unsigned I = 0; I < PC->getNumArgs(); ++I)
-        Perm.push_back(static_cast<unsigned>(PC->getArg(I) - 1));
-    }
-    unsigned N = static_cast<unsigned>(Perm.size());
-    if (!analyzeLoopNest(Dir->getAssociatedStmt(),
-                         OpenMPDirectiveKind::Interchange, N, Infos, Pre) ||
-        Infos.size() < N)
-      return nullptr;
-    return buildInterchangeTransformation(Dir, Infos, Perm);
-  }
-  default:
-    // fuse/distribute_loop compositions stay opaque to the oracle.
+  if (!analyzeLoopNest(TD->getAssociatedStmt(), Kind, N, Infos, Pre) ||
+      Infos.size() < N)
     return nullptr;
-  }
+  return buildTransformedStmt(TD, Infos);
 }
 
 Stmt *Sema::buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
@@ -1001,7 +1005,7 @@ Stmt *Sema::buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
   // fusion is then composed on CanonicalLoopInfo handles in CodeGen.
   std::vector<std::optional<OMPLoopInfo>> PerSib(Count);
   std::vector<Stmt *> TransformPreInits;
-  std::vector<Stmt *> AnalysisRoots;
+  std::vector<analysis::DependenceInfo> DI;
   for (unsigned K = 0; K < Count; ++K) {
     Stmt *Sib = Sibs[First + K];
     std::vector<OMPLoopInfo> SibInfos;
@@ -1015,13 +1019,8 @@ Stmt *Sema::buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
     // preceding transformation its (possibly rebuilt) shadow AST — the
     // composition is judged post-transform instead of refused outright.
     Stmt *Root = Sib;
-    Stmt *Inner = Sib;
-    while (auto *W = stmt_dyn_cast<CompoundStmt>(Inner)) {
-      if (W->size() != 1)
-        break;
-      Inner = W->body()[0];
-    }
-    if (auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(Inner)) {
+    if (auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(
+            skipLoopWrappers(Sib))) {
       Root = buildTransformedForAnalysis(TD);
       if (!Root) {
         Diags.report(R.getBegin(), diag::err_omp_transform_not_analyzable)
@@ -1033,39 +1032,20 @@ Stmt *Sema::buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
         return nullptr;
       }
     }
-    AnalysisRoots.push_back(Root);
+    DI.push_back(analysis::DependenceInfo::analyze(Root, 1));
   }
 
   // Legality: every textually earlier member must be fusable with every
   // later one (fusion runs iteration t of each member in sibling order).
-  {
-    using analysis::DependenceInfo;
-    using analysis::Legality;
-    std::vector<DependenceInfo> DI;
-    DI.reserve(AnalysisRoots.size());
-    for (Stmt *Root : AnalysisRoots)
-      DI.push_back(DependenceInfo::analyze(Root, 1));
-    for (unsigned I = 0; I < DI.size(); ++I)
-      for (unsigned J = I + 1; J < DI.size(); ++J) {
-        Legality L = DependenceInfo::isLegalFuse(DI[I], DI[J]);
-        if (L)
-          continue;
-        if (L.Blocking) {
-          Diags.report(R.getBegin(), diag::err_omp_transform_illegal_dep)
-              << std::string("fuse") << L.Reason;
-          if (L.Blocking->SrcLoc.isValid())
-            Diags.report(L.Blocking->SrcLoc,
-                         diag::note_omp_dependence_source)
-                << (L.Blocking->Base
-                        ? std::string(L.Blocking->Base->getName())
-                        : std::string("<unknown>"));
-        } else {
-          Diags.report(R.getBegin(), diag::err_omp_transform_not_analyzable)
-              << std::string("fuse") << L.Reason;
-        }
+  for (unsigned I = 0; I < DI.size(); ++I)
+    for (unsigned J = I + 1; J < DI.size(); ++J)
+      if (analysis::Legality L =
+              analysis::DependenceInfo::isLegalFuse(DI[I], DI[J]);
+          !L) {
+        reportTransformRefusal(Diags, OpenMPDirectiveKind::Fuse, L,
+                               R.getBegin());
         return nullptr;
       }
-  }
 
   Stmt *Assoc = AStmt;
   if (Opts.OpenMPEnableIRBuilder) {
@@ -1091,166 +1071,12 @@ Stmt *Sema::buildFuseDirective(std::vector<OMPClause *> Clauses, Stmt *AStmt,
     std::vector<OMPLoopInfo> FusedInfos;
     for (const auto &I : PerSib)
       FusedInfos.push_back(*I); // legacy mode always fills every slot
-    Dir->setTransformedStmt(buildFuseTransformation(
-        Dir, FusedInfos, Sibs, First, TransformPreInits));
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      Dir->setPreInits(Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size())));
-    }
+    Dir->setTransformedStmt(
+        buildFuseTransformation(FusedInfos, Sibs, First, TransformPreInits));
+    Dir->setPreInits(buildPreInits(TransformPreInits));
   }
   return Dir;
 }
-
-Stmt *Sema::buildFuseTransformation(OMPFuseDirective *Dir,
-                                    const std::vector<OMPLoopInfo> &Infos,
-                                    std::span<Stmt *const> Siblings,
-                                    unsigned FirstIdx,
-                                    std::vector<Stmt *> &PreInits) {
-  (void)Dir;
-  unsigned N = static_cast<unsigned>(Infos.size());
-  QualType LT = Ctx.getULongType();
-
-  // Whether every member has the same constant trip count — then the
-  // per-member guards are provably always true and are omitted.
-  bool AllEqualConst = true;
-  std::optional<std::uint64_t> CommonTC;
-  for (const OMPLoopInfo &I : Infos) {
-    if (!I.ConstantTripCount) {
-      AllEqualConst = false;
-      break;
-    }
-    if (!CommonTC)
-      CommonTC = *I.ConstantTripCount;
-    else if (*CommonTC != *I.ConstantTripCount) {
-      AllEqualConst = false;
-      break;
-    }
-  }
-
-  // Trip counts captured once in PreInits ('.capture_expr.' style) so the
-  // fused bound and the guards agree, and the transformed statement stays
-  // consumable by an enclosing directive.
-  std::vector<VarDecl *> NVars(N);
-  for (unsigned K = 0; K < N; ++K) {
-    NVars[K] = buildInternalVar(
-        Ctx.internString(".fuse.n" + std::to_string(K)), LT,
-        convertTo(buildNumIterationsExpr(Infos[K]), LT, SourceLocation()));
-    std::vector<VarDecl *> Decls{NVars[K]};
-    auto DeclStored = Ctx.allocateCopy(Decls);
-    PreInits.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(DeclStored.data(), 1)));
-  }
-  Expr *MaxInit = buildRValueRef(NVars[0]);
-  for (unsigned K = 1; K < N; ++K) {
-    Expr *Gt = buildBinOp(BinaryOperatorKind::GT, buildRValueRef(NVars[K]),
-                          cloneExpr(Ctx, MaxInit));
-    MaxInit = ActOnConditionalOp(SourceLocation(), Gt,
-                                 buildRValueRef(NVars[K]), MaxInit);
-  }
-  VarDecl *MaxVar =
-      buildInternalVar(Ctx.internString(".fuse.max"), LT, MaxInit);
-  {
-    std::vector<VarDecl *> Decls{MaxVar};
-    auto DeclStored = Ctx.allocateCopy(Decls);
-    PreInits.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(DeclStored.data(), 1)));
-  }
-
-  // One loop over the maximal logical iteration space:
-  //   for (ULong fused.iv = 0; fused.iv < .fuse.max; ++fused.iv)
-  VarDecl *FusedIV = buildInternalVar(Ctx.internString("fused.iv"), LT,
-                                      buildIntLiteral(0, LT));
-  std::vector<VarDecl *> IVDecls{FusedIV};
-  auto IVStored = Ctx.allocateCopy(IVDecls);
-  Stmt *Init = Ctx.create<DeclStmt>(
-      SourceRange(), std::span<VarDecl *const>(IVStored.data(), 1));
-  Expr *Cond = buildBinOp(BinaryOperatorKind::LT, buildRValueRef(FusedIV),
-                          buildRValueRef(MaxVar));
-  Expr *Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                           buildDeclRef(FusedIV));
-
-  // Body: iteration t of every member in sibling order — materialize the
-  // member's iteration variable, then its cloned body, guarded by
-  // "fused.iv < n_k" when trip counts may differ.
-  std::vector<Stmt *> BodyStmts;
-  for (unsigned K = 0; K < N; ++K) {
-    VarDecl *UserIV = Ctx.create<VarDecl>(
-        Infos[K].IterVar->getLocation(), Infos[K].IterVar->getName(),
-        Infos[K].IVType,
-        buildCounterValue(*this, Infos[K], buildRValueRef(FusedIV)));
-    std::vector<VarDecl *> UserDecls{UserIV};
-    auto UserStored = Ctx.allocateCopy(UserDecls);
-    Stmt *UserInit = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(UserStored.data(), 1));
-
-    TreeTransform Clone(Ctx);
-    Clone.addDeclSubstitution(Infos[K].IterVar, UserIV);
-    Stmt *ClonedBody = Clone.transformStmt(Infos[K].Loop->getBody());
-
-    std::vector<Stmt *> Part{UserInit, ClonedBody};
-    auto PartStored = Ctx.allocateCopy(Part);
-    Stmt *Member = Ctx.create<CompoundStmt>(
-        Infos[K].Loop->getBody()->getSourceRange(),
-        std::span<Stmt *const>(PartStored.data(), PartStored.size()));
-    if (!AllEqualConst) {
-      Expr *Guard =
-          buildBinOp(BinaryOperatorKind::LT, buildRValueRef(FusedIV),
-                     buildRValueRef(NVars[K]));
-      Member = ActOnIfStmt(SourceRange(), Guard, Member, nullptr);
-    }
-    BodyStmts.push_back(Member);
-  }
-  auto BodyStored = Ctx.allocateCopy(BodyStmts);
-  SourceRange FusedRange(Siblings[FirstIdx]->getBeginLoc(),
-                         Siblings[FirstIdx + N - 1]->getEndLoc());
-  Stmt *Body = Ctx.create<CompoundStmt>(
-      FusedRange,
-      std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
-  Stmt *FusedLoop = Ctx.create<ForStmt>(FusedRange, Init, Cond, Inc, Body);
-
-  // Siblings outside the looprange are re-emitted around the fused loop.
-  std::vector<Stmt *> Out;
-  for (unsigned K = 0; K < FirstIdx; ++K)
-    Out.push_back(Siblings[K]);
-  Out.push_back(FusedLoop);
-  for (unsigned K = FirstIdx + N; K < Siblings.size(); ++K)
-    Out.push_back(Siblings[K]);
-  auto OutStored = Ctx.allocateCopy(Out);
-  return Ctx.create<CompoundStmt>(
-      FusedRange, std::span<Stmt *const>(OutStored.data(), OutStored.size()));
-}
-
-namespace {
-
-/// Collects every variable declared anywhere within \p S.
-void collectLocalDecls(const Stmt *S, std::set<const VarDecl *> &Out) {
-  if (!S)
-    return;
-  if (const auto *DS = stmt_dyn_cast<DeclStmt>(S))
-    for (VarDecl *D : DS->decls())
-      Out.insert(D);
-  for (const Stmt *Child : S->children())
-    collectLocalDecls(Child, Out);
-}
-
-/// First reference within \p S to any variable in \p Vars; null if none.
-const DeclRefExpr *findRefToAny(const Stmt *S,
-                                const std::set<const VarDecl *> &Vars) {
-  if (!S)
-    return nullptr;
-  if (const auto *DRE = stmt_dyn_cast<DeclRefExpr>(S))
-    if (const auto *VD = decl_dyn_cast<VarDecl>(DRE->getDecl()))
-      if (Vars.count(VD))
-        return DRE;
-  for (const Stmt *Child : S->children())
-    if (const DeclRefExpr *Found = findRefToAny(Child, Vars))
-      return Found;
-  return nullptr;
-}
-
-} // namespace
 
 Stmt *Sema::buildDistributeLoopDirective(std::vector<OMPClause *> Clauses,
                                          Stmt *AStmt, SourceRange R) {
@@ -1261,13 +1087,7 @@ Stmt *Sema::buildDistributeLoopDirective(std::vector<OMPClause *> Clauses,
   // groups; applying distribution to another transformation's generated
   // loop would split synthesized internals, so it is refused in both
   // pipelines.
-  Stmt *Unwrapped = AStmt;
-  while (auto *W = stmt_dyn_cast<CompoundStmt>(Unwrapped)) {
-    if (W->size() != 1)
-      break;
-    Unwrapped = W->body()[0];
-  }
-  if (stmt_dyn_cast<OMPLoopTransformationDirective>(Unwrapped)) {
+  if (stmt_dyn_cast<OMPLoopTransformationDirective>(skipLoopWrappers(AStmt))) {
     Diags.report(R.getBegin(), diag::err_omp_distribute_over_transform);
     return nullptr;
   }
@@ -1288,212 +1108,38 @@ Stmt *Sema::buildDistributeLoopDirective(std::vector<OMPClause *> Clauses,
 
   // A variable declared in one statement group and referenced from another
   // cannot survive the split into per-group loops.
-  {
-    std::vector<std::set<const VarDecl *>> GroupDecls;
-    for (const Stmt *G : Body->body()) {
-      GroupDecls.emplace_back();
-      collectLocalDecls(G, GroupDecls.back());
-    }
-    unsigned GIdx = 0;
-    for (const Stmt *G : Body->body()) {
-      for (unsigned H = 0; H < GroupDecls.size(); ++H) {
-        if (H == GIdx)
-          continue;
-        if (const DeclRefExpr *Ref = findRefToAny(G, GroupDecls[H])) {
+  std::vector<std::set<const VarDecl *>> GroupDecls;
+  for (const Stmt *G : Body->body())
+    collectLocalDecls(G, GroupDecls.emplace_back());
+  for (unsigned G = 0; G < GroupDecls.size(); ++G)
+    for (unsigned H = 0; H < GroupDecls.size(); ++H)
+      if (H != G)
+        if (const DeclRefExpr *Ref =
+                findRefToAny(Body->body()[G], GroupDecls[H])) {
           Diags.report(Ref->getBeginLoc(),
                        diag::err_omp_distribute_local_across_groups)
               << std::string(Ref->getDecl()->getName());
           return nullptr;
         }
-      }
-      ++GIdx;
-    }
-  }
 
   // Legality: refused when a loop-carried dependence flows from a later
   // statement group back to an earlier one.
-  {
-    using analysis::DependenceInfo;
-    using analysis::Legality;
-    DependenceInfo DI = DependenceInfo::analyze(AStmt, 1);
-    Legality L = DI.isLegalDistribute();
-    if (!L) {
-      std::string Name(
-          getOpenMPDirectiveName(OpenMPDirectiveKind::DistributeLoop));
-      if (L.Blocking) {
-        Diags.report(R.getBegin(), diag::err_omp_transform_illegal_dep)
-            << Name << L.Reason;
-        if (L.Blocking->SrcLoc.isValid())
-          Diags.report(L.Blocking->SrcLoc, diag::note_omp_dependence_source)
-              << (L.Blocking->Base
-                      ? std::string(L.Blocking->Base->getName())
-                      : std::string("<unknown>"));
-      } else {
-        Diags.report(R.getBegin(), diag::err_omp_transform_not_analyzable)
-            << Name << L.Reason;
-      }
-      return nullptr;
-    }
+  analysis::DependenceInfo DI = analysis::DependenceInfo::analyze(AStmt, 1);
+  if (analysis::Legality L = DI.isLegalDistribute(); !L) {
+    reportTransformRefusal(Diags, OpenMPDirectiveKind::DistributeLoop, L,
+                           R.getBegin());
+    return nullptr;
   }
 
   Stmt *Assoc = AStmt;
   if (Opts.OpenMPEnableIRBuilder)
-    Assoc = buildOMPCanonicalLoop(Info);
+    Assoc = buildCanonicalLoopNest(Infos);
 
   auto Stored = Ctx.allocateCopy(Clauses);
   auto *Dir = Ctx.create<OMPDistributeLoopDirective>(
       R, std::span<OMPClause *const>(Stored.data(), Stored.size()), Assoc);
   if (!Opts.OpenMPEnableIRBuilder)
-    Dir->setTransformedStmt(buildDistributeTransformation(Dir, Info));
-  return Dir;
-}
-
-Stmt *Sema::buildDistributeTransformation(OMPDistributeLoopDirective *Dir,
-                                          const OMPLoopInfo &Info) {
-  (void)Dir;
-  QualType LT = Info.LogicalType;
-  const auto *Body = stmt_cast<CompoundStmt>(Info.Loop->getBody());
-  std::string BaseName(Info.IterVar->getName());
-
-  // Shared trip count, evaluated once before the loop sequence.
-  VarDecl *NVar =
-      buildInternalVar(Ctx.internString(".distribute.n." + BaseName), LT,
-                       buildNumIterationsExpr(Info));
-  std::vector<Stmt *> Out;
-  {
-    std::vector<VarDecl *> Decls{NVar};
-    auto DeclStored = Ctx.allocateCopy(Decls);
-    Out.push_back(Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(DeclStored.data(), 1)));
-  }
-
-  // One loop per statement group, in source order, each over the full
-  // logical iteration space.
-  unsigned G = 0;
-  for (Stmt *GroupStmt : Body->body()) {
-    VarDecl *DistIV = buildInternalVar(
-        Ctx.internString("distributed." + std::to_string(G) + ".iv." +
-                         BaseName),
-        LT, buildIntLiteral(0, LT));
-    std::vector<VarDecl *> IVDecls{DistIV};
-    auto IVStored = Ctx.allocateCopy(IVDecls);
-    Stmt *Init = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(IVStored.data(), 1));
-    Expr *Cond = buildBinOp(BinaryOperatorKind::LT, buildRValueRef(DistIV),
-                            buildRValueRef(NVar));
-    Expr *Inc = ActOnUnaryOp(SourceLocation(), UnaryOperatorKind::PreInc,
-                             buildDeclRef(DistIV));
-
-    VarDecl *UserIV = Ctx.create<VarDecl>(
-        Info.IterVar->getLocation(), Info.IterVar->getName(), Info.IVType,
-        buildCounterValue(*this, Info, buildRValueRef(DistIV)));
-    std::vector<VarDecl *> UserDecls{UserIV};
-    auto UserStored = Ctx.allocateCopy(UserDecls);
-    Stmt *UserInit = Ctx.create<DeclStmt>(
-        SourceRange(), std::span<VarDecl *const>(UserStored.data(), 1));
-
-    TreeTransform Clone(Ctx);
-    Clone.addDeclSubstitution(Info.IterVar, UserIV);
-    Stmt *ClonedGroup = Clone.transformStmt(GroupStmt);
-
-    std::vector<Stmt *> LoopBody{UserInit, ClonedGroup};
-    auto BodyStored = Ctx.allocateCopy(LoopBody);
-    Stmt *BodyCS = Ctx.create<CompoundStmt>(
-        GroupStmt->getSourceRange(),
-        std::span<Stmt *const>(BodyStored.data(), BodyStored.size()));
-    Out.push_back(Ctx.create<ForStmt>(Info.Loop->getSourceRange(), Init,
-                                      Cond, Inc, BodyCS));
-    ++G;
-  }
-  auto OutStored = Ctx.allocateCopy(Out);
-  return Ctx.create<CompoundStmt>(
-      Info.Loop->getSourceRange(),
-      std::span<Stmt *const>(OutStored.data(), OutStored.size()));
-}
-
-Stmt *Sema::buildInterchangeDirective(std::vector<OMPClause *> Clauses,
-                                      Stmt *AStmt, SourceRange R) {
-  if (!AStmt)
-    return nullptr;
-
-  // The permutation clause fixes the associated loop count; without it the
-  // outermost two loops are swapped.
-  const OMPPermutationClause *PermC = nullptr;
-  for (const OMPClause *C : Clauses)
-    if (const auto *PC = clause_dyn_cast<OMPPermutationClause>(C))
-      PermC = PC;
-
-  std::vector<unsigned> Perm;
-  if (PermC) {
-    unsigned N = PermC->getNumArgs();
-    std::vector<bool> Used(N, false);
-    for (unsigned I = 0; I < N; ++I) {
-      std::int64_t V = PermC->getArg(I);
-      if (V < 1 || V > N || Used[static_cast<unsigned>(V - 1)]) {
-        Diags.report(PermC->getBeginLoc(), diag::err_omp_permutation_invalid)
-            << N;
-        return nullptr;
-      }
-      Used[static_cast<unsigned>(V - 1)] = true;
-      Perm.push_back(static_cast<unsigned>(V - 1));
-    }
-  } else {
-    Perm = {1, 0};
-  }
-  unsigned NumLoops = static_cast<unsigned>(Perm.size());
-
-  std::vector<OMPLoopInfo> Infos;
-  std::vector<Stmt *> TransformPreInits;
-  if (!analyzeLoopNest(AStmt, OpenMPDirectiveKind::Interchange, NumLoops,
-                       Infos, TransformPreInits))
-    return nullptr;
-  if (PermC && !Infos.empty() && Infos.size() != NumLoops) {
-    Diags.report(PermC->getBeginLoc(), diag::err_omp_permutation_arity)
-        << NumLoops << static_cast<unsigned>(Infos.size());
-    return nullptr;
-  }
-
-  if (!checkTransformDependences(AStmt, OpenMPDirectiveKind::Interchange,
-                                 NumLoops, Perm, R))
-    return nullptr;
-
-  bool ConsumesIRBuilderTransform =
-      Opts.OpenMPEnableIRBuilder && Infos.size() < NumLoops;
-  Stmt *Assoc = AStmt;
-  if (Opts.OpenMPEnableIRBuilder && !ConsumesIRBuilderTransform) {
-    Stmt *Wrapped = nullptr;
-    for (unsigned K = static_cast<unsigned>(Infos.size()); K-- > 0;) {
-      ForStmt *Loop = Infos[K].Loop;
-      Stmt *NewLoop = Loop;
-      if (Wrapped) {
-        Stmt *NewBody =
-            replaceStmt(Ctx, Loop->getBody(), Infos[K + 1].Loop, Wrapped);
-        NewLoop = Ctx.create<ForStmt>(Loop->getSourceRange(),
-                                      Loop->getInit(), Loop->getCond(),
-                                      Loop->getInc(), NewBody);
-      }
-      OMPLoopInfo WrapInfo = Infos[K];
-      WrapInfo.Loop = stmt_cast<ForStmt>(NewLoop);
-      Wrapped = buildOMPCanonicalLoop(WrapInfo);
-    }
-    Assoc = Wrapped;
-  }
-
-  auto Stored = Ctx.allocateCopy(Clauses);
-  auto *Dir = Ctx.create<OMPInterchangeDirective>(
-      R, std::span<OMPClause *const>(Stored.data(), Stored.size()), Assoc,
-      NumLoops);
-
-  if (!Opts.OpenMPEnableIRBuilder) {
-    Dir->setTransformedStmt(
-        buildInterchangeTransformation(Dir, Infos, Perm));
-    if (!TransformPreInits.empty()) {
-      auto PreStored = Ctx.allocateCopy(TransformPreInits);
-      Dir->setPreInits(Ctx.create<CompoundStmt>(
-          SourceRange(),
-          std::span<Stmt *const>(PreStored.data(), PreStored.size())));
-    }
-  }
+    Dir->setTransformedStmt(buildDistributeTransformation(Info));
   return Dir;
 }
 

@@ -280,6 +280,8 @@ struct Exhibit {
   const char *Source;
 };
 
+void PrintTo(const Exhibit &E, std::ostream *OS) { *OS << E.Name; }
+
 const Exhibit Exhibits[] = {
     {"parallel_for", ParallelForSource},
     {"unroll_stack", UnrollStackSource},
