@@ -7,6 +7,16 @@ Parser::Parser(Preprocessor &PP, Sema &Actions) : PP(PP), Actions(Actions) {
   PP.lex(Tok); // prime the first token
 }
 
+Parser::NestingScope::NestingScope(Parser &P) : P(P) {
+  if (++P.NestingDepth <= MaxNestingDepth || P.CutOff)
+    return;
+  P.diags().report(P.Tok.getLocation(), diag::err_parse_nesting_too_deep)
+      << MaxNestingDepth;
+  P.CutOff = true;
+  while (!P.Tok.is(tok::eof))
+    P.consumeToken();
+}
+
 void Parser::consumeToken() {
   if (!LookAhead.empty()) {
     Tok = LookAhead.front();
@@ -31,7 +41,8 @@ bool Parser::expectAndConsume(tok::TokenKind K, const char *What) {
     consumeToken();
     return true;
   }
-  diags().report(Tok.getLocation(), diag::err_expected) << What;
+  if (!CutOff)
+    diags().report(Tok.getLocation(), diag::err_expected) << What;
   return false;
 }
 
@@ -381,6 +392,7 @@ Stmt *Parser::parseDeclarationStatement() {
 // ===------------------------------------------------------------------=== //
 
 Stmt *Parser::parseStatement() {
+  NestingScope Nest(*this);
   switch (Tok.getKind()) {
   case tok::l_brace:
     return parseCompoundStatement();
@@ -675,6 +687,7 @@ Expr *Parser::parseAssignmentExpression() {
   if (auto Opc = getAssignOpKind(Tok.getKind())) {
     SourceLocation OpLoc = Tok.getLocation();
     consumeToken();
+    NestingScope Nest(*this);
     Expr *RHS = parseAssignmentExpression(); // right-associative
     return Actions.ActOnBinaryOp(OpLoc, *Opc, LHS, RHS);
   }
@@ -687,6 +700,7 @@ Expr *Parser::parseConditionalExpression() {
     return Cond;
   SourceLocation QLoc = Tok.getLocation();
   consumeToken();
+  NestingScope Nest(*this);
   Expr *TrueE = parseAssignmentExpression();
   if (!expectAndConsume(tok::colon, "':'"))
     return nullptr;
@@ -712,42 +726,38 @@ Expr *Parser::parseBinaryExpression(unsigned MinPrec) {
 
 Expr *Parser::parseUnaryExpression() {
   SourceLocation OpLoc = Tok.getLocation();
+  UnaryOperatorKind Opc;
   switch (Tok.getKind()) {
   case tok::plus:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::Plus,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::Plus;
+    break;
   case tok::minus:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::Minus,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::Minus;
+    break;
   case tok::exclaim:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::LNot,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::LNot;
+    break;
   case tok::tilde:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::Not,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::Not;
+    break;
   case tok::star:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::Deref,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::Deref;
+    break;
   case tok::amp:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::AddrOf,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::AddrOf;
+    break;
   case tok::plusplus:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::PreInc,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::PreInc;
+    break;
   case tok::minusminus:
-    consumeToken();
-    return Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::PreDec,
-                                parseUnaryExpression());
+    Opc = UnaryOperatorKind::PreDec;
+    break;
   default:
     return parsePostfixExpressionSuffix(parsePrimaryExpression());
   }
+  consumeToken();
+  NestingScope Nest(*this);
+  return Actions.ActOnUnaryOp(OpLoc, Opc, parseUnaryExpression());
 }
 
 Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
@@ -757,6 +767,7 @@ Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
       SourceLocation LParen = Tok.getLocation();
       consumeToken();
       std::vector<Expr *> Args;
+      NestingScope Nest(*this);
       if (!Tok.is(tok::r_paren)) {
         while (true) {
           Args.push_back(parseAssignmentExpression());
@@ -773,6 +784,7 @@ Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
     }
     case tok::l_square: {
       consumeToken();
+      NestingScope Nest(*this);
       Expr *Index = parseExpression();
       SourceLocation RSquare = Tok.getLocation();
       expectAndConsume(tok::r_square, "']'");
@@ -833,6 +845,7 @@ Expr *Parser::parsePrimaryExpression() {
   case tok::l_paren: {
     SourceLocation LParen = Tok.getLocation();
     consumeToken();
+    NestingScope Nest(*this);
     Expr *Sub = parseExpression();
     SourceLocation RParen = Tok.getLocation();
     if (!expectAndConsume(tok::r_paren, "')'"))
@@ -840,7 +853,8 @@ Expr *Parser::parsePrimaryExpression() {
     return Actions.ActOnParenExpr(SourceRange(LParen, RParen), Sub);
   }
   default:
-    diags().report(Tok.getLocation(), diag::err_expected_expression);
+    if (!CutOff)
+      diags().report(Tok.getLocation(), diag::err_expected_expression);
     consumeToken();
     return nullptr;
   }

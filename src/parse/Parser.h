@@ -24,7 +24,31 @@ public:
   /// reported (check the DiagnosticsEngine for error counts).
   TranslationUnitDecl *parseTranslationUnit();
 
+  /// The deepest nesting the recursive-descent parser accepts. Each
+  /// statement, pair of parentheses or brackets, unary operator and
+  /// right-recursive assignment or conditional operand is one level.
+  /// Deeper input is refused with err_parse_nesting_too_deep, so hostile
+  /// nesting fails with a diagnostic instead of exhausting the stack of
+  /// the compiler or of a daemon worker. The value is Clang's default
+  /// bracket depth.
+  static constexpr unsigned MaxNestingDepth = 256;
+
 private:
+  /// One level of parser recursion (see MaxNestingDepth). Past the limit
+  /// the parser is cut off: the error is reported once, the rest of the
+  /// input is skipped, and every enclosing level then sees the end of
+  /// file and unwinds without recursing or reporting further.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P);
+    ~NestingScope() { --P.NestingDepth; }
+    NestingScope(const NestingScope &) = delete;
+    NestingScope &operator=(const NestingScope &) = delete;
+
+  private:
+    Parser &P;
+  };
+
   // --- Token stream management ---
   void consumeToken();
   const Token &peekAhead(unsigned N); // N=1: next token after Tok
@@ -84,6 +108,8 @@ private:
   Sema &Actions;
   Token Tok;
   std::deque<Token> LookAhead;
+  unsigned NestingDepth = 0;
+  bool CutOff = false; // set once MaxNestingDepth was exceeded
 };
 
 } // namespace mcc

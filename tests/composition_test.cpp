@@ -588,6 +588,103 @@ TEST(CompositionTest, NonCanonicalLoopNoteEmitted) {
   EXPECT_NE(Diags.find("canonical loop form"), std::string::npos);
 }
 
+// A directive may associate with at most the loops a nested
+// transformation generates: tile sizes(n) exposes n (its floor loops),
+// unroll partial one. Both pipelines refuse a directive that asks for
+// more; the IRBuilder pipeline used to crash or drop the collapse.
+struct ArityCase {
+  const char *Name;
+  const char *Source;
+  const char *Found; // "but only <Found> were found"
+};
+
+class ConsumedArity : public ::testing::TestWithParam<ArityCase> {};
+
+TEST_P(ConsumedArity, RefusedInBothPipelines) {
+  for (bool IRBuilder : {false, true}) {
+    CompilerOptions Opts;
+    Opts.LangOpts.OpenMPEnableIRBuilder = IRBuilder;
+    Execution E(GetParam().Source, Opts);
+    EXPECT_FALSE(E.CompiledOK) << (IRBuilder ? "irbuilder" : "legacy");
+    EXPECT_NE(E.diagnostics().find(std::string("but only ") +
+                                   GetParam().Found + " were found"),
+              std::string::npos)
+        << (IRBuilder ? "irbuilder" : "legacy") << ":\n"
+        << E.diagnostics();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CompositionTest, ConsumedArity,
+    ::testing::Values(
+        ArityCase{"TileThreeOverUnrollPartial", R"(
+          int a[64];
+          int main() {
+            #pragma omp tile sizes(4, 4, 4)
+            #pragma omp unroll partial(2)
+            for (int i = 0; i < 64; i += 1)
+              a[i] = i;
+            return a[5];
+          })",
+                  "1"},
+        ArityCase{"CollapseTwoOverUnrollPartial", R"(
+          int main() {
+            int s = 0;
+            #pragma omp parallel for collapse(2) reduction(+: s)
+            #pragma omp unroll partial(2)
+            for (int i = 0; i < 64; i += 1)
+              s += i;
+            return s;
+          })",
+                  "1"},
+        ArityCase{"TileThreeOverTileTwo", R"(
+          int a[64];
+          int main() {
+            #pragma omp tile sizes(4, 4, 4)
+            #pragma omp tile sizes(2, 2)
+            for (int i = 0; i < 8; i += 1)
+              for (int j = 0; j < 8; j += 1)
+                a[i * 8 + j] = i + j;
+            return a[9];
+          })",
+                  "2"},
+        ArityCase{"CollapseFourOverTileTwo", R"(
+          int main() {
+            int s = 0;
+            #pragma omp parallel for collapse(4) reduction(+: s)
+            #pragma omp tile sizes(3, 4)
+            for (int i = 0; i < 8; i += 1)
+              for (int j = 0; j < 8; j += 1)
+                s += i + j;
+            return s;
+          })",
+                  "2"}),
+    [](const ::testing::TestParamInfo<ArityCase> &Info) {
+      return std::string(Info.param.Name);
+    });
+
+// In IRBuilder mode a nested transformation is composed on loop handles
+// only at the top of a nest; below a literal loop it is refused with a
+// diagnostic (the legacy pipeline consumes its shadow loop instead).
+TEST(CompositionTest, IRBuilderRefusesTransformBelowLiteralLoop) {
+  const char *Source = R"(
+    int a[64];
+    int main() {
+      #pragma omp tile sizes(2, 2)
+      for (int i = 0; i < 8; i += 1)
+        #pragma omp unroll partial(2)
+        for (int j = 0; j < 8; j += 1)
+          a[i * 8 + j] = i + j;
+      return a[9];
+    }
+  )";
+  EXPECT_EQ(Execution(Source).runMain(), 2);
+  Execution E(Source, irBuilderOpts());
+  EXPECT_FALSE(E.CompiledOK);
+  EXPECT_NE(E.diagnostics().find("below a literal loop"), std::string::npos)
+      << E.diagnostics();
+}
+
 TEST(CompositionTest, ZeroTripWorkshareLoop) {
   expectAllPipelinesReturn(R"(
     int sum = 0;

@@ -332,4 +332,55 @@ TEST(ParserRecoveryTest, ContinuesAfterBadFunction) {
   EXPECT_GE(F.errors(), 1u);
 }
 
+// Adversarial nesting: every recursive shape of the grammar is refused
+// with one diagnostic past Parser::MaxNestingDepth instead of exhausting
+// the stack, and parses cleanly at the limit.
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (unsigned I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// A program nesting \p Shape \p Depth parser levels deep (the return
+/// statement or the outermost block counts as one).
+std::string nestedProgram(const std::string &Shape, unsigned Depth) {
+  if (Shape == "parens")
+    return "int main() { return " + repeat("(", Depth - 1) + "1" +
+           repeat(")", Depth - 1) + "; }";
+  if (Shape == "minus")
+    return "int main() { return " + repeat("- ", Depth - 1) + "1; }";
+  if (Shape == "subscripts")
+    return "int a[4];\nint main() { return " + repeat("a[", Depth - 1) +
+           "0" + repeat("]", Depth - 1) + "; }";
+  if (Shape == "braces")
+    return "int main() { " + repeat("{", Depth) + repeat("}", Depth) +
+           " return 0; }";
+  return "int main() { " + repeat("if (1) ", Depth - 1) +
+         "return 1; return 0; }"; // unbraced ifs
+}
+
+class NestingLimitTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(NestingLimitTest, HundredThousandLevelsGiveOneDiagnostic) {
+  Frontend F(nestedProgram(GetParam(), 100000));
+  EXPECT_EQ(F.diagsWithID(diag::err_parse_nesting_too_deep).size(), 1u)
+      << F.diagMessages();
+}
+
+TEST_P(NestingLimitTest, ParsesAtTheLimitAndNotBeyond) {
+  Frontend AtLimit(nestedProgram(GetParam(), Parser::MaxNestingDepth));
+  EXPECT_EQ(AtLimit.errors(), 0u) << AtLimit.diagMessages();
+  Frontend Beyond(nestedProgram(GetParam(), Parser::MaxNestingDepth + 1));
+  EXPECT_TRUE(Beyond.hasDiag(diag::err_parse_nesting_too_deep));
+}
+
+INSTANTIATE_TEST_SUITE_P(ParserTest, NestingLimitTest,
+                         ::testing::Values("parens", "minus", "subscripts",
+                                           "braces", "ifs"),
+                         [](const ::testing::TestParamInfo<const char *> &I) {
+                           return std::string(I.param);
+                         });
+
 } // namespace

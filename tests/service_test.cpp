@@ -663,3 +663,48 @@ TEST(ServiceParity, DiagnosticsMatchCompilerInstance) {
   EXPECT_EQ(DirectOK, R.Succeeded);
   EXPECT_EQ(CI.renderDiagnostics(), R.Diagnostics);
 }
+
+// A job that used to crash a worker (a directive asking for more loops
+// than a nested transformation generates, or adversarially deep nesting)
+// fails with a diagnostic, and the same worker serves the next job.
+TEST(ServiceRobustness, RefusedJobsLeaveTheWorkerServing) {
+  ServiceOptions SO;
+  SO.NumWorkers = 1;
+  CompileService Service(SO);
+
+  CompileJob Arity = makeJob("int a[64];\n"
+                             "int main(void) {\n"
+                             "  #pragma omp tile sizes(4, 4, 4)\n"
+                             "  #pragma omp unroll partial(2)\n"
+                             "  for (int i = 0; i < 64; i += 1)\n"
+                             "    a[i] = i;\n"
+                             "  return a[5];\n"
+                             "}\n");
+  Arity.Options.LangOpts.OpenMPEnableIRBuilder = true;
+  Arity.Execute = true;
+  std::string Deep = "int main(void) { return ";
+  Deep += std::string(100000, '(') + "1" + std::string(100000, ')') + "; }\n";
+  CompileJob DeepJob = makeJob(Deep);
+  DeepJob.Execute = true;
+  // At the nesting limit every layer, down to execution, runs on the
+  // worker's stack.
+  std::string AtLimit = "int main(void) { return ";
+  AtLimit += std::string(255, '(') + "7" + std::string(255, ')') + "; }\n";
+  CompileJob AtLimitJob = makeJob(AtLimit);
+  AtLimitJob.Execute = true;
+
+  for (CompileJob *Bad : {&Arity, &DeepJob}) {
+    CompileResult R = Service.enqueue(*Bad).get();
+    EXPECT_FALSE(R.Succeeded);
+    EXPECT_NE(R.Diagnostics.find("error:"), std::string::npos)
+        << R.Diagnostics;
+    CompileJob Next = makeJob(SumProgram);
+    Next.Execute = true;
+    CompileResult N = Service.enqueue(std::move(Next)).get();
+    ASSERT_TRUE(N.Succeeded) << N.Diagnostics;
+    EXPECT_EQ(N.ExitValue, 1225);
+  }
+  CompileResult R = Service.enqueue(std::move(AtLimitJob)).get();
+  ASSERT_TRUE(R.Succeeded) << R.Diagnostics;
+  EXPECT_EQ(R.ExitValue, 7);
+}
