@@ -202,17 +202,15 @@ private:
               D->getDirectiveKind(), Diags);
 
     // The generated loops of a transformation's shadow AST: the floor
-    // loops of tile, the strip-mined outer loop of unroll partial. These
-    // are what an enclosing directive would associate with, so they must
-    // be canonical too. Diagnostics lacking a location are remapped to the
-    // directive (paper Section 2).
+    // loops of tile, the strip-mined outer loop of unroll partial, and so
+    // on. These are what an enclosing directive would associate with, so
+    // they must be canonical too. Diagnostics lacking a location are
+    // remapped to the directive (paper Section 2).
     auto *TD = stmt_dyn_cast<OMPLoopTransformationDirective>(D);
     if (!TD || !TD->getTransformedStmt())
       return;
-    unsigned GeneratedLoops =
-        stmt_dyn_cast<OMPTileDirective>(TD) ? TD->getLoopsNumber() : 1;
     Diags.pushTransformRemap(D->getBeginLoc(), DirName);
-    checkNest(TD->getTransformedStmt(), GeneratedLoops,
+    checkNest(TD->getTransformedStmt(), TD->getNumGeneratedLoops(),
               D->getDirectiveKind(), Diags);
     Diags.popTransformRemap();
   }
