@@ -919,9 +919,11 @@ Stmt *Sema::buildNestTransformDirective(OpenMPDirectiveKind Kind,
   case OpenMPDirectiveKind::Reverse:
     Dir = Ctx.create<OMPReverseDirective>(R, ClauseSpan, Assoc);
     break;
-  default:
+  case OpenMPDirectiveKind::Interchange:
     Dir = Ctx.create<OMPInterchangeDirective>(R, ClauseSpan, Assoc, NumLoops);
     break;
+  default:
+    return nullptr;
   }
 
   if (!Opts.OpenMPEnableIRBuilder) {
