@@ -114,8 +114,11 @@ CodeGenFunction::emitPrivatizationClauses(
           std::int64_t Id = 0;
           bool Signed = VD->getType()->isSignedIntegerType();
           unsigned Bits = Ty->getBitWidth();
-          std::int64_t MaxV = Signed ? ((1LL << (Bits - 1)) - 1) : -1;
-          std::int64_t MinV = Signed ? -(1LL << (Bits - 1)) : 0;
+          // Computed unsigned: for 64 bits the signed forms overflow.
+          std::int64_t MaxV =
+              Signed ? static_cast<std::int64_t>((1ULL << (Bits - 1)) - 1)
+                     : -1;
+          std::int64_t MinV = Signed ? -MaxV - 1 : 0;
           switch (RC->getOperator()) {
           case OpenMPReductionOp::Mul:
           case OpenMPReductionOp::LogAnd:
