@@ -319,6 +319,7 @@ void emitForkCall(CodeGenFunction &CGF, ir::IRBuilder &B,
       {Outlined, B.getI32(static_cast<std::int32_t>(CaptureAddrs.size())),
        Ctx, NumThreads ? NumThreads : B.getI32(0)});
 }
+
 /// The runtime schedule a schedule clause selects, shared by both
 /// lowerings: without a clause, or static without a chunk, the unchunked
 /// static schedule.
@@ -338,6 +339,7 @@ OMPScheduleType scheduleTypeFor(const OMPScheduleClause *Sched,
                     : OMPScheduleType::Static;
   }
 }
+
 } // namespace
 
 // ===--------------------------- Dispatcher ---------------------------=== //
