@@ -305,7 +305,44 @@ std::string emitExhibitIR(const char *Source, bool IRBuilderMode) {
   return CI.getIRText();
 }
 
+/// The diagnostics of `minicc <Passes> -syntax-only x.c`, preceded by the
+/// front end's verdict: the --analyze=deps report (per-nest dependences
+/// and legality verdicts) or the default --analyze linters.
+std::string analyzeExhibit(const char *Source, bool IRBuilderMode,
+                           bool DepsOnly) {
+  CompilerOptions Options;
+  Options.LangOpts.OpenMPEnableIRBuilder = IRBuilderMode;
+  if (DepsOnly)
+    Options.AnalyzePasses = {"deps"};
+  else
+    Options.RunAnalyzers = true;
+  CompilerInstance CI(Options);
+  CI.addVirtualFile("x.c", Source);
+  bool OK = CI.parseToAST("x.c");
+  return std::string(OK ? "ok\n" : "error\n") + CI.renderDiagnostics();
+}
+
 class ExhibitLowering : public ::testing::TestWithParam<Exhibit> {};
+
+TEST_P(ExhibitLowering, LegacyDepsReport) {
+  compareWithGolden(std::string("deps_legacy_") + GetParam().Name,
+                    analyzeExhibit(GetParam().Source, false, true));
+}
+
+TEST_P(ExhibitLowering, IRBuilderDepsReport) {
+  compareWithGolden(std::string("deps_irbuilder_") + GetParam().Name,
+                    analyzeExhibit(GetParam().Source, true, true));
+}
+
+TEST_P(ExhibitLowering, LegacyAnalyzeReport) {
+  compareWithGolden(std::string("analyze_legacy_") + GetParam().Name,
+                    analyzeExhibit(GetParam().Source, false, false));
+}
+
+TEST_P(ExhibitLowering, IRBuilderAnalyzeReport) {
+  compareWithGolden(std::string("analyze_irbuilder_") + GetParam().Name,
+                    analyzeExhibit(GetParam().Source, true, false));
+}
 
 TEST_P(ExhibitLowering, LegacyIR) {
   compareWithGolden(std::string("ir_legacy_") + GetParam().Name,
