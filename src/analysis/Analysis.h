@@ -134,11 +134,6 @@ bool verifyLoopTransformation(OMPLoopTransformationDirective *Dir,
 /// associated loop); defined once, in the AST library.
 using mcc::skipLoopWrappers;
 
-/// The induction variable of a canonical-looking for loop: declared by the
-/// init ('T var = lb') or assigned by it ('var = lb'). Null if the init
-/// has neither form.
-VarDecl *getLoopIterationVar(const ForStmt *Loop);
-
 } // namespace analysis
 } // namespace mcc
 

@@ -62,22 +62,4 @@ std::string registerAnalysesByName(AnalysisManager &AM,
   return {};
 }
 
-VarDecl *getLoopIterationVar(const ForStmt *Loop) {
-  Stmt *Init = Loop->getInit();
-  if (!Init)
-    return nullptr;
-  if (auto *DS = stmt_dyn_cast<DeclStmt>(Init)) {
-    if (DS->isSingleDecl())
-      return DS->getSingleDecl();
-    return nullptr;
-  }
-  if (auto *BO = stmt_dyn_cast<BinaryOperator>(Init)) {
-    if (BO->getOpcode() == BinaryOperatorKind::Assign)
-      if (auto *DRE =
-              stmt_dyn_cast<DeclRefExpr>(BO->getLHS()->ignoreParenImpCasts()))
-        return decl_dyn_cast<VarDecl>(DRE->getDecl());
-  }
-  return nullptr;
-}
-
 } // namespace mcc::analysis

@@ -57,40 +57,6 @@ const Stmt *findModification(const Stmt *S, const VarDecl *V) {
   return nullptr;
 }
 
-bool isCanonicalCondition(const Expr *Cond, const VarDecl *IV) {
-  const auto *BO = stmt_dyn_cast<BinaryOperator>(Cond->ignoreParenImpCasts());
-  if (!BO || !BO->isComparisonOp() ||
-      BO->getOpcode() == BinaryOperatorKind::EQ)
-    return false;
-  return isRefTo(BO->getLHS(), IV) || isRefTo(BO->getRHS(), IV);
-}
-
-bool isCanonicalIncrement(const Expr *Inc, const VarDecl *IV) {
-  const Expr *E = Inc->ignoreParenImpCasts();
-  if (const auto *UO = stmt_dyn_cast<UnaryOperator>(E))
-    return UO->isIncrementDecrementOp() && isRefTo(UO->getSubExpr(), IV);
-  const auto *BO = stmt_dyn_cast<BinaryOperator>(E);
-  if (!BO || !isRefTo(BO->getLHS(), IV))
-    return false;
-  switch (BO->getOpcode()) {
-  case BinaryOperatorKind::AddAssign:
-  case BinaryOperatorKind::SubAssign:
-    return true;
-  case BinaryOperatorKind::Assign: {
-    // var = var + incr / var = incr + var / var = var - incr
-    const auto *RHS =
-        stmt_dyn_cast<BinaryOperator>(BO->getRHS()->ignoreParenImpCasts());
-    if (!RHS || !RHS->isAdditiveOp())
-      return false;
-    if (RHS->getOpcode() == BinaryOperatorKind::Sub)
-      return isRefTo(RHS->getLHS(), IV);
-    return isRefTo(RHS->getLHS(), IV) || isRefTo(RHS->getRHS(), IV);
-  }
-  default:
-    return false;
-  }
-}
-
 } // namespace
 
 bool checkCanonicalLoopConformance(Stmt *Loop, OpenMPDirectiveKind DKind,
@@ -114,35 +80,27 @@ bool checkCanonicalLoopConformance(Stmt *Loop, OpenMPDirectiveKind DKind,
   };
   std::vector<Issue> Issues;
 
-  VarDecl *IV = getLoopIterationVar(For);
-  if (!IV) {
-    Stmt *At = For->getInit() ? For->getInit() : static_cast<Stmt *>(For);
-    Issues.push_back({diag::note_analysis_noncanonical_init,
-                      At->getBeginLoc(),
-                      {}});
-  } else {
+  CanonicalLoopForm Form = matchCanonicalLoop(For);
+  if (!Form.InitMatched)
+    Issues.push_back({diag::note_analysis_noncanonical_init, Form.InitLoc, {}});
+  if (const VarDecl *IV = Form.IV) {
     std::string IVName(IV->getName());
 
     if (!IV->getType()->isIntegerType() && !IV->getType()->isPointerType())
       Issues.push_back({diag::note_analysis_noninteger_iv, IV->getLocation(),
                         {IVName, IV->getType().getAsString()}});
 
-    Expr *Cond = For->getCond();
-    if (!Cond || !isCanonicalCondition(Cond, IV))
+    if (!Form.CondMatched)
       Issues.push_back(
-          {diag::note_analysis_noncanonical_cond,
-           Cond ? Cond->getBeginLoc() : For->getBeginLoc(),
-           {IVName}});
+          {diag::note_analysis_noncanonical_cond, Form.CondLoc, {IVName}});
 
-    Expr *Inc = For->getInc();
-    if (!Inc || !isCanonicalIncrement(Inc, IV))
-      Issues.push_back({diag::note_analysis_noncanonical_inc,
-                        Inc ? Inc->getBeginLoc() : For->getBeginLoc(),
-                        {IVName}});
+    if (!Form.IncMatched)
+      Issues.push_back(
+          {diag::note_analysis_noncanonical_inc, Form.IncLoc, {IVName}});
 
     // The trip count must be invariant: neither the iteration variable nor
     // any variable the condition depends on may be modified in the body.
-    if (Cond) {
+    if (Expr *Cond = For->getCond()) {
       std::set<const VarDecl *> CondVars;
       collectReferencedVars(Cond, CondVars);
       for (const VarDecl *V : CondVars) {

@@ -71,7 +71,7 @@ void collectLoopPrivateIVs(Stmt *S, unsigned Depth,
   if (Depth == 0)
     return;
   if (auto *For = stmt_dyn_cast<ForStmt>(S)) {
-    if (VarDecl *IV = getLoopIterationVar(For))
+    if (VarDecl *IV = matchCanonicalLoop(For).IV)
       Out.insert(IV);
     collectLoopPrivateIVs(For->getBody(), Depth - 1, Out);
   }

@@ -116,7 +116,7 @@ ForStmt *nextSpineLoop(Stmt *&Cur) {
 }
 
 bool spineIVNameStartsWith(const ForStmt *For, const std::string &Prefix) {
-  const VarDecl *IV = getLoopIterationVar(For);
+  const VarDecl *IV = matchCanonicalLoop(For).IV;
   return IV && std::string_view(IV->getName()).substr(0, Prefix.size()) ==
                    Prefix;
 }

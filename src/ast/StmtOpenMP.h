@@ -32,7 +32,9 @@
 #include "ast/OpenMPKinds.h"
 #include "ast/Stmt.h"
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 
 namespace mcc {
 
@@ -592,6 +594,65 @@ Stmt *skipToGeneratedLoop(
     Stmt *S,
     const std::function<void(OMPLoopTransformationDirective *)> &OnTransform =
         {});
+
+/// The header of a for loop matched against the OpenMP canonical loop form
+/// (OpenMP 5.1 s4.4.1). Init, condition and increment are matched
+/// independently, so a consumer can report every part that fails; the
+/// condition and increment can only match once the init named the
+/// iteration variable.
+struct CanonicalLoopForm {
+  /// init-expr 'T var = lb' or 'var = lb'. IV is also set for 'T var;'.
+  VarDecl *IV = nullptr;
+  Expr *LowerBound = nullptr;
+  /// test-expr 'var relop ub'; 'ub relop var' is mirrored so that Rel
+  /// reads with the IV on its left. One of LT, LE, GT, GE, NE.
+  BinaryOperatorKind Rel = BinaryOperatorKind::LT;
+  Expr *UpperBound = nullptr;
+  /// incr-expr '++'/'--', 'var += c', 'var -= c', 'var = var + c',
+  /// 'var = c + var' or 'var = var - c'. Step is 'c' as written, or null
+  /// for the unit step of '++'/'--'.
+  Expr *Step = nullptr;
+  /// The magnitude of the step when the caller's evaluator folds it (1 for
+  /// '++'/'--'). A negative constant 'c' is normalized: StepNegated is set
+  /// and Decreasing is the opposite of what the operator says.
+  std::optional<std::uint64_t> StepMagnitude;
+  bool StepNegated = false;
+  bool Decreasing = false;
+  /// Width of the unsigned logical iteration type, which Sema takes from
+  /// ASTContext::getCorrespondingUnsignedType: 32 for integer IVs of at
+  /// most int width, 64 otherwise (pointers included).
+  unsigned LogicalWidth = 64;
+  /// Whether each part matched, and where it is: the part itself, or the
+  /// 'for' keyword when the part is missing. A failed match is reported
+  /// there.
+  bool InitMatched = false, CondMatched = false, IncMatched = false;
+  SourceLocation InitLoc, CondLoc, IncLoc;
+
+  [[nodiscard]] bool isInclusive() const {
+    return Rel == BinaryOperatorKind::LE || Rel == BinaryOperatorKind::GE;
+  }
+};
+
+/// An integer constant evaluator (evaluateInteger or
+/// evaluateIntegerWithConstVars): each consumer folds the step by its own
+/// policy.
+using ConstantEvaluator = std::optional<std::int64_t> (*)(const Expr *);
+
+/// Matches \p For against the canonical loop form. The step is folded with
+/// \p EvalStep when one is given. This is the one recognizer Sema, the
+/// dependence analysis and the AST analyses share.
+CanonicalLoopForm matchCanonicalLoop(const ForStmt *For,
+                                     ConstantEvaluator EvalStep = nullptr);
+
+/// The logical trip count of a matched loop whose bounds evaluate to \p LB
+/// and \p UB: the distance is taken in the unsigned logical type, truncated
+/// to its width, so that INT_MIN..INT_MAX folds correctly (paper Section
+/// 3.1). Null when the step is unknown or zero, the direction contradicts
+/// the relational operator, '!=' has a non-unit step, or the count does not
+/// fit in 64 bits.
+std::optional<std::uint64_t> getLogicalTripCount(const CanonicalLoopForm &F,
+                                                 std::int64_t LB,
+                                                 std::int64_t UB);
 
 } // namespace mcc
 

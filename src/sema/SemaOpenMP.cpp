@@ -323,179 +323,56 @@ bool Sema::checkOpenMPCanonicalLoop(Stmt *S, OpenMPDirectiveKind Kind,
   }
   Info.Loop = For;
 
-  // --- init-expr: "T var = lb" or "var = lb" ---
-  VarDecl *IV = nullptr;
-  Expr *LB = nullptr;
-  if (auto *DS = stmt_dyn_cast<DeclStmt>(For->getInit())) {
-    if (DS->isSingleDecl() && DS->getSingleDecl()->hasInit()) {
-      IV = DS->getSingleDecl();
-      LB = IV->getInit();
-    }
-  } else if (auto *E = stmt_dyn_cast<Expr>(For->getInit())) {
-    if (auto *BO = stmt_dyn_cast<BinaryOperator>(E->ignoreParens())) {
-      if (BO->getOpcode() == BinaryOperatorKind::Assign) {
-        if (auto *DRE = stmt_dyn_cast<DeclRefExpr>(
-                BO->getLHS()->ignoreParenImpCasts())) {
-          IV = decl_dyn_cast<VarDecl>(DRE->getDecl());
-          LB = BO->getRHS();
-        }
-      }
-    }
-  }
-  if (!IV || !LB) {
+  CanonicalLoopForm F = matchCanonicalLoop(For, evaluateInteger);
+  if (!F.InitMatched) {
     Diags.report(For->getBeginLoc(), diag::err_omp_loop_no_init_var);
     Diags.report(For->getBeginLoc(), diag::note_omp_canonical_requirement);
     return false;
   }
-  Info.IterVar = IV;
-  Info.LowerBound = LB;
-  Info.IVType = IV->getType().withoutConst();
+  Info.IterVar = F.IV;
+  Info.LowerBound = F.LowerBound;
+  Info.IVType = F.IV->getType().withoutConst();
   Info.LogicalType = Info.IVType->isPointerType()
                          ? Ctx.getULongType()
                          : Ctx.getCorrespondingUnsignedType(Info.IVType);
 
-  std::string IVName(IV->getName());
-
-  // --- test-expr: "var relop b" or "b relop var" ---
-  Expr *Cond = For->getCond();
-  const BinaryOperator *CondBO =
-      Cond ? stmt_dyn_cast<BinaryOperator>(Cond->ignoreParenImpCasts())
-           : nullptr;
-  auto RefsIV = [IV](const Expr *E) {
-    const auto *DRE = stmt_dyn_cast<DeclRefExpr>(E->ignoreParenImpCasts());
-    return DRE && DRE->getDecl() == IV;
-  };
-  BinaryOperatorKind Rel{};
-  Expr *UB = nullptr;
-  bool Mirrored = false;
-  if (CondBO && CondBO->isComparisonOp() &&
-      CondBO->getOpcode() != BinaryOperatorKind::EQ) {
-    if (RefsIV(CondBO->getLHS())) {
-      Rel = CondBO->getOpcode();
-      UB = CondBO->getRHS();
-    } else if (RefsIV(CondBO->getRHS())) {
-      UB = CondBO->getLHS();
-      Mirrored = true;
-      switch (CondBO->getOpcode()) {
-      case BinaryOperatorKind::LT:
-        Rel = BinaryOperatorKind::GT;
-        break;
-      case BinaryOperatorKind::GT:
-        Rel = BinaryOperatorKind::LT;
-        break;
-      case BinaryOperatorKind::LE:
-        Rel = BinaryOperatorKind::GE;
-        break;
-      case BinaryOperatorKind::GE:
-        Rel = BinaryOperatorKind::LE;
-        break;
-      default:
-        Rel = BinaryOperatorKind::NE;
-        break;
-      }
-    }
-  }
-  if (!UB) {
-    Diags.report(Cond ? Cond->getBeginLoc() : For->getBeginLoc(),
-                 diag::err_omp_loop_bad_cond)
-        << IVName;
+  std::string IVName(F.IV->getName());
+  if (!F.CondMatched) {
+    Diags.report(F.CondLoc, diag::err_omp_loop_bad_cond) << IVName;
     Diags.report(For->getBeginLoc(), diag::note_omp_canonical_requirement);
     return false;
   }
-  (void)Mirrored;
-  Info.UpperBound = UB;
-
-  // --- incr-expr ---
-  Expr *Inc = For->getInc();
-  Expr *Step = nullptr;
-  bool Decreasing = false;
-  bool StepKnown = false;
-  if (Inc) {
-    Expr *IncStripped = Inc->ignoreParenImpCasts();
-    if (auto *UO = stmt_dyn_cast<UnaryOperator>(IncStripped)) {
-      if (UO->isIncrementDecrementOp() && RefsIV(UO->getSubExpr())) {
-        Step = buildIntLiteral(1, Ctx.getIntType());
-        Decreasing = !UO->isIncrementOp();
-        StepKnown = true;
-      }
-    } else if (auto *BO = stmt_dyn_cast<BinaryOperator>(IncStripped)) {
-      if ((BO->getOpcode() == BinaryOperatorKind::AddAssign ||
-           BO->getOpcode() == BinaryOperatorKind::SubAssign) &&
-          RefsIV(BO->getLHS())) {
-        Step = BO->getRHS();
-        Decreasing = BO->getOpcode() == BinaryOperatorKind::SubAssign;
-        StepKnown = true;
-      } else if (BO->getOpcode() == BinaryOperatorKind::Assign &&
-                 RefsIV(BO->getLHS())) {
-        // var = var + c | var = c + var | var = var - c
-        if (auto *RHSBO = stmt_dyn_cast<BinaryOperator>(
-                BO->getRHS()->ignoreParenImpCasts())) {
-          if (RHSBO->isAdditiveOp()) {
-            if (RefsIV(RHSBO->getLHS())) {
-              Step = RHSBO->getRHS();
-              Decreasing = RHSBO->getOpcode() == BinaryOperatorKind::Sub;
-              StepKnown = true;
-            } else if (RefsIV(RHSBO->getRHS()) &&
-                       RHSBO->getOpcode() == BinaryOperatorKind::Add) {
-              Step = RHSBO->getLHS();
-              StepKnown = true;
-            }
-          }
-        }
-      }
-    }
-  }
-  if (!StepKnown) {
-    Diags.report(Inc ? Inc->getBeginLoc() : For->getBeginLoc(),
-                 diag::err_omp_loop_bad_incr)
-        << IVName;
+  Info.UpperBound = F.UpperBound;
+  if (!F.IncMatched) {
+    Diags.report(F.IncLoc, diag::err_omp_loop_bad_incr) << IVName;
     Diags.report(For->getBeginLoc(), diag::note_omp_canonical_requirement);
     return false;
   }
-
-  // Normalize constant steps: "i += -3" is a decreasing loop of step 3.
-  if (auto SV = evaluateInteger(Step)) {
-    if (*SV == 0) {
-      Diags.report(Inc->getBeginLoc(), diag::err_omp_loop_zero_step);
-      return false;
-    }
-    if (*SV < 0) {
-      Decreasing = !Decreasing;
-      Step = buildIntLiteral(static_cast<std::uint64_t>(-*SV),
-                             Ctx.getLongType());
-    }
+  if (F.StepMagnitude == 0u) {
+    Diags.report(F.IncLoc, diag::err_omp_loop_zero_step);
+    return false;
   }
-  Info.Step = Step;
-  Info.Decreasing = Decreasing;
+  // The step as a positive magnitude: "i += -3" steps down by 3.
+  if (!F.Step)
+    Info.Step = buildIntLiteral(1, Ctx.getIntType());
+  else if (F.StepNegated)
+    Info.Step = buildIntLiteral(*F.StepMagnitude, Ctx.getLongType());
+  else
+    Info.Step = F.Step;
+  Info.Decreasing = F.Decreasing;
+  Info.InclusiveBound = F.isInclusive();
 
-  // Direction must agree with the comparison.
-  switch (Rel) {
-  case BinaryOperatorKind::LT:
-  case BinaryOperatorKind::LE:
-    if (Decreasing) {
-      Diags.report(Inc->getBeginLoc(), diag::err_omp_loop_bad_incr) << IVName;
+  // Direction must agree with the comparison; '!=' requires a step of
+  // constant magnitude 1.
+  if (F.Rel == BinaryOperatorKind::NE) {
+    if (F.StepMagnitude != 1u) {
+      Diags.report(F.CondLoc, diag::err_omp_loop_bad_cond) << IVName;
       return false;
     }
-    Info.InclusiveBound = Rel == BinaryOperatorKind::LE;
-    break;
-  case BinaryOperatorKind::GT:
-  case BinaryOperatorKind::GE:
-    if (!Decreasing) {
-      Diags.report(Inc->getBeginLoc(), diag::err_omp_loop_bad_incr) << IVName;
-      return false;
-    }
-    Info.InclusiveBound = Rel == BinaryOperatorKind::GE;
-    break;
-  default: { // NE: requires a step of constant magnitude 1
-    auto SV = evaluateInteger(Step);
-    if (!SV || *SV != 1) {
-      Diags.report(Cond->getBeginLoc(), diag::err_omp_loop_bad_cond)
-          << IVName;
-      return false;
-    }
-    Info.InclusiveBound = false;
-    break;
-  }
+  } else if (F.Decreasing != (F.Rel == BinaryOperatorKind::GT ||
+                              F.Rel == BinaryOperatorKind::GE)) {
+    Diags.report(F.IncLoc, diag::err_omp_loop_bad_incr) << IVName;
+    return false;
   }
 
   // Loop-invariant bounds: no calls permitted (see DESIGN.md; stricter
@@ -508,7 +385,7 @@ bool Sema::checkOpenMPCanonicalLoop(Stmt *S, OpenMPDirectiveKind Kind,
     }
 
   // The iteration variable must not be modified in the body.
-  if (isVarModifiedIn(For->getBody(), IV)) {
+  if (isVarModifiedIn(For->getBody(), F.IV)) {
     Diags.report(For->getBody()->getBeginLoc(),
                  diag::err_omp_loop_var_modified)
         << IVName;
@@ -525,33 +402,8 @@ bool Sema::checkOpenMPCanonicalLoop(Stmt *S, OpenMPDirectiveKind Kind,
   // INT_MIN..INT_MAX loops fold correctly (Section 3.1).
   auto LBC = evaluateIntegerWithConstVars(Info.LowerBound);
   auto UBC = evaluateIntegerWithConstVars(Info.UpperBound);
-  auto STC = evaluateInteger(Info.Step);
-  if (LBC && UBC && STC && *STC > 0) {
-    std::uint64_t Dist;
-    bool HasIterations;
-    if (!Decreasing) {
-      HasIterations = Info.InclusiveBound ? (*LBC <= *UBC) : (*LBC < *UBC);
-      Dist = static_cast<std::uint64_t>(*UBC) -
-             static_cast<std::uint64_t>(*LBC);
-    } else {
-      HasIterations = Info.InclusiveBound ? (*LBC >= *UBC) : (*LBC > *UBC);
-      Dist = static_cast<std::uint64_t>(*LBC) -
-             static_cast<std::uint64_t>(*UBC);
-    }
-    // Truncate the distance to the logical type's width (wrap-around
-    // arithmetic, e.g. for unsigned IVs).
-    unsigned Bits = Info.LogicalType->getSizeInBytes() * 8;
-    if (Bits < 64)
-      Dist &= (1ULL << Bits) - 1;
-    if (Info.InclusiveBound)
-      Dist += 1;
-    std::uint64_t S = static_cast<std::uint64_t>(*STC);
-    Info.ConstantTripCount =
-        HasIterations ? (Dist + S - 1 + (Info.InclusiveBound ? 0 : 0)) / S
-                      : 0;
-    if (Info.InclusiveBound && HasIterations)
-      Info.ConstantTripCount = (Dist + S - 1) / S;
-  }
+  if (LBC && UBC)
+    Info.ConstantTripCount = getLogicalTripCount(F, *LBC, *UBC);
   return true;
 }
 
