@@ -7,7 +7,13 @@ Parser::Parser(Preprocessor &PP, Sema &Actions) : PP(PP), Actions(Actions) {
   PP.lex(Tok); // prime the first token
 }
 
-Parser::NestingScope::NestingScope(Parser &P) : P(P) {
+Parser::NestingScope::NestingScope(Parser &P, bool Enter) : P(P) {
+  if (Enter)
+    enter();
+}
+
+void Parser::NestingScope::enter() {
+  ++Levels;
   if (++P.NestingDepth <= MaxNestingDepth || P.CutOff)
     return;
   P.diags().report(P.Tok.getLocation(), diag::err_parse_nesting_too_deep)
@@ -217,15 +223,18 @@ QualType Parser::parseDeclSpecifiers() {
 bool Parser::parseDeclarator(QualType &Ty, std::string &Name,
                              SourceLocation &NameLoc) {
   ASTContext &Ctx = Actions.getASTContext();
+  NestingScope Pointers(*this, /*Enter=*/false); // one level per '*'
   while (Tok.is(tok::star)) {
     consumeToken();
+    Pointers.enter();
     bool PtrConst = tryConsume(tok::kw_const);
     Ty = Ctx.getPointerType(Ty);
     if (PtrConst)
       Ty = Ty.withConst();
   }
   if (!Tok.is(tok::identifier)) {
-    diags().report(Tok.getLocation(), diag::err_expected_identifier);
+    if (!CutOff)
+      diags().report(Tok.getLocation(), diag::err_expected_identifier);
     return false;
   }
   Name = std::string(Tok.getText());
@@ -710,6 +719,7 @@ Expr *Parser::parseConditionalExpression() {
 
 Expr *Parser::parseBinaryExpression(unsigned MinPrec) {
   Expr *LHS = parseUnaryExpression();
+  NestingScope Chain(*this, /*Enter=*/false);
   while (true) {
     unsigned Prec = getBinOpPrecedence(Tok.getKind());
     if (Prec < MinPrec || Prec == 0)
@@ -717,6 +727,7 @@ Expr *Parser::parseBinaryExpression(unsigned MinPrec) {
     BinaryOperatorKind Opc = getBinOpKind(Tok.getKind());
     SourceLocation OpLoc = Tok.getLocation();
     consumeToken();
+    Chain.enter();
     Expr *RHS = parseBinaryExpression(Prec + 1);
     LHS = Actions.ActOnBinaryOp(OpLoc, Opc, LHS, RHS);
     if (!LHS)
@@ -761,13 +772,15 @@ Expr *Parser::parseUnaryExpression() {
 }
 
 Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
+  // Each suffix wraps the expression so far: one level per suffix.
+  NestingScope Chain(*this, /*Enter=*/false);
   while (LHS) {
     switch (Tok.getKind()) {
     case tok::l_paren: {
       SourceLocation LParen = Tok.getLocation();
       consumeToken();
       std::vector<Expr *> Args;
-      NestingScope Nest(*this);
+      Chain.enter();
       if (!Tok.is(tok::r_paren)) {
         while (true) {
           Args.push_back(parseAssignmentExpression());
@@ -784,7 +797,7 @@ Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
     }
     case tok::l_square: {
       consumeToken();
-      NestingScope Nest(*this);
+      Chain.enter();
       Expr *Index = parseExpression();
       SourceLocation RSquare = Tok.getLocation();
       expectAndConsume(tok::r_square, "']'");
@@ -795,12 +808,14 @@ Expr *Parser::parsePostfixExpressionSuffix(Expr *LHS) {
     case tok::plusplus: {
       SourceLocation OpLoc = Tok.getLocation();
       consumeToken();
+      Chain.enter();
       LHS = Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::PostInc, LHS);
       break;
     }
     case tok::minusminus: {
       SourceLocation OpLoc = Tok.getLocation();
       consumeToken();
+      Chain.enter();
       LHS = Actions.ActOnUnaryOp(OpLoc, UnaryOperatorKind::PostDec, LHS);
       break;
     }

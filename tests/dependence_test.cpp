@@ -221,7 +221,7 @@ TEST(DependenceLegalityTest, ReverseIllegalUnderCarriedDependence) {
 
   Legality L = DI.isLegalReverse(0);
   EXPECT_FALSE(L.Legal);
-  ASSERT_NE(L.Blocking, nullptr);
+  ASSERT_TRUE(L.Blocking.has_value());
   EXPECT_EQ(L.Blocking->Base->getName(), "a");
   EXPECT_FALSE(L.Reason.empty());
 }
@@ -346,6 +346,15 @@ TEST(DependenceLegalityTest, FuseIllegalOnBackwardDependence) {
   Legality L = DependenceInfo::isLegalFuse(First, Second);
   EXPECT_FALSE(L.Legal);
   EXPECT_FALSE(L.Reason.empty());
+  // The conflicting pair: a[i] written by the first loop, read later by
+  // the second as a[k + 1].
+  ASSERT_TRUE(L.Blocking.has_value());
+  EXPECT_EQ(L.Blocking->Kind, DepKind::Flow);
+  EXPECT_EQ(L.Blocking->Base->getName(), "a");
+  EXPECT_TRUE(L.Blocking->SrcLoc.isValid());
+  EXPECT_TRUE(L.Blocking->SinkLoc.isValid());
+  EXPECT_NE(L.Reason.find("iteration t+1 of the first loop"),
+            std::string::npos);
 }
 
 TEST(DependenceLegalityTest, DistributeLegalWithSingleStatementBody) {
@@ -405,7 +414,7 @@ TEST(DependenceLegalityTest, DistributeIllegalOnBackwardGroupDependence) {
   ASSERT_TRUE(DI.isAnalyzable());
   Legality L = DI.isLegalDistribute();
   EXPECT_FALSE(L.Legal);
-  ASSERT_NE(L.Blocking, nullptr);
+  ASSERT_TRUE(L.Blocking.has_value());
   EXPECT_EQ(L.Blocking->Base->getName(), "a");
   EXPECT_NE(L.Reason.find("group"), std::string::npos) << L.Reason;
 }
@@ -494,6 +503,29 @@ TEST(TransformGateTest, LegalReverseBuildsShadowAST) {
   EXPECT_NE(Rev->getTransformedStmt(), nullptr);
 }
 
+// Every iteration of both loops writes a[0], an output dependence carried
+// by the loop. The full-range 64-bit loop has 2^64 - 1 iterations, more
+// than the distance tests can count: its trip count is unknown, so the
+// reversal is refused exactly like the 0..100 twin, in both pipelines.
+TEST(TransformGateTest, FullRangeLongReverseRefusedLikeShortTwin) {
+  for (bool IRBuilder : {false, true})
+    for (std::string Init : {"long i = 0; i < 100",
+                             "long i = -9223372036854775807 - 1; "
+                             "i < 9223372036854775807"}) {
+      LangOptions LO;
+      LO.OpenMPEnableIRBuilder = IRBuilder;
+      Frontend F("int a[4];\nvoid f() {\n#pragma omp reverse\nfor (" +
+                     Init + "; i++) a[0] = a[0] + 1;\n}\n",
+                 LO);
+      auto Errors = F.diagsWithID(diag::err_omp_transform_illegal_dep);
+      ASSERT_EQ(Errors.size(), 1u) << Init;
+      EXPECT_NE(Errors[0].Message.find("dependence on 'a', direction (<)"),
+                std::string::npos)
+          << Errors[0].Message;
+      EXPECT_TRUE(F.hasDiag(diag::note_omp_dependence_source)) << Init;
+    }
+}
+
 TEST(TransformGateTest, IllegalInterchangeRefused) {
   Frontend F(R"(
     void f() {
@@ -564,8 +596,7 @@ TEST(TransformGateTest, LegalFuseAcceptedInIRBuilderMode) {
 }
 
 // The second member reads a[k+1], written by a later iteration of the
-// fused loop: inter-member legality cannot be established, so the gate
-// refuses conservatively in both pipelines.
+// fused loop: the gate refuses in both pipelines and names the dependence.
 const char *BlockedFuseProgram = R"(
   void f() {
     int a[65];
@@ -580,19 +611,30 @@ const char *BlockedFuseProgram = R"(
   }
 )";
 
+/// The blocked fuse is refused citing the flow dependence on 'a', with a
+/// note at the first loop's write.
+void expectFuseRefusedWithDependenceNote(const Frontend &F) {
+  EXPECT_FALSE(F.hasDiag(diag::err_omp_transform_not_analyzable));
+  auto Errors = F.diagsWithID(diag::err_omp_transform_illegal_dep);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].Message.find("fuse"), std::string::npos);
+  EXPECT_NE(Errors[0].Message.find("flow dependence on 'a'"),
+            std::string::npos);
+  auto Notes = F.diagsWithID(diag::note_omp_dependence_source);
+  ASSERT_EQ(Notes.size(), 1u);
+  EXPECT_EQ(F.SM.getLineNumber(Notes[0].Loc), 8u);
+}
+
 TEST(TransformGateTest, DependenceBlockedFuseRefused) {
   Frontend F(BlockedFuseProgram);
-  EXPECT_TRUE(F.hasDiag(diag::err_omp_transform_not_analyzable));
-  auto Errors = F.diagsWithID(diag::err_omp_transform_not_analyzable);
-  ASSERT_GE(Errors.size(), 1u);
-  EXPECT_NE(Errors[0].Message.find("fuse"), std::string::npos);
+  expectFuseRefusedWithDependenceNote(F);
 }
 
 TEST(TransformGateTest, DependenceBlockedFuseRefusedInIRBuilderMode) {
   LangOptions LO;
   LO.OpenMPEnableIRBuilder = true;
   Frontend F(BlockedFuseProgram, LO);
-  EXPECT_TRUE(F.hasDiag(diag::err_omp_transform_not_analyzable));
+  expectFuseRefusedWithDependenceNote(F);
 }
 
 TEST(TransformGateTest, UnanalyzableFuseMemberRefusedConservatively) {

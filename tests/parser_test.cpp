@@ -354,6 +354,13 @@ std::string nestedProgram(const std::string &Shape, unsigned Depth) {
   if (Shape == "subscripts")
     return "int a[4];\nint main() { return " + repeat("a[", Depth - 1) +
            "0" + repeat("]", Depth - 1) + "; }";
+  if (Shape == "sum") // one level per operator of the left-deep chain
+    return "int main() { return 0" + repeat(" + 1", Depth - 1) + "; }";
+  if (Shape == "pointers") // one level per '*' of the declarator
+    return "int main() { int " + repeat("*", Depth - 1) + "p; return 0; }";
+  if (Shape == "postfix") // one level per suffix of the subscript chain
+    return "int " + repeat("*", Depth - 1) + "p;\nint main() { return p" +
+           repeat("[0]", Depth - 1) + "; }";
   if (Shape == "braces")
     return "int main() { " + repeat("{", Depth) + repeat("}", Depth) +
            " return 0; }";
@@ -378,6 +385,7 @@ TEST_P(NestingLimitTest, ParsesAtTheLimitAndNotBeyond) {
 
 INSTANTIATE_TEST_SUITE_P(ParserTest, NestingLimitTest,
                          ::testing::Values("parens", "minus", "subscripts",
+                                           "sum", "pointers", "postfix",
                                            "braces", "ifs"),
                          [](const ::testing::TestParamInfo<const char *> &I) {
                            return std::string(I.param);

@@ -665,7 +665,8 @@ TEST(ServiceParity, DiagnosticsMatchCompilerInstance) {
 }
 
 // A job that used to crash a worker (a directive asking for more loops
-// than a nested transformation generates, or adversarially deep nesting)
+// than a nested transformation generates, adversarially deep nesting, or
+// a very long chain of binary operators)
 // fails with a diagnostic, and the same worker serves the next job.
 TEST(ServiceRobustness, RefusedJobsLeaveTheWorkerServing) {
   ServiceOptions SO;
@@ -686,6 +687,14 @@ TEST(ServiceRobustness, RefusedJobsLeaveTheWorkerServing) {
   Deep += std::string(100000, '(') + "1" + std::string(100000, ')') + "; }\n";
   CompileJob DeepJob = makeJob(Deep);
   DeepJob.Execute = true;
+  // A left-deep chain of 10^5 additions: parsed iteratively, but every
+  // later phase would recurse along it.
+  std::string LongSum = "int main(void) { return 0";
+  for (unsigned I = 0; I < 100000; ++I)
+    LongSum += " + 1";
+  LongSum += "; }\n";
+  CompileJob SumJob = makeJob(LongSum);
+  SumJob.Execute = true;
   // At the nesting limit every layer, down to execution, runs on the
   // worker's stack.
   std::string AtLimit = "int main(void) { return ";
@@ -693,7 +702,7 @@ TEST(ServiceRobustness, RefusedJobsLeaveTheWorkerServing) {
   CompileJob AtLimitJob = makeJob(AtLimit);
   AtLimitJob.Execute = true;
 
-  for (CompileJob *Bad : {&Arity, &DeepJob}) {
+  for (CompileJob *Bad : {&Arity, &DeepJob, &SumJob}) {
     CompileResult R = Service.enqueue(*Bad).get();
     EXPECT_FALSE(R.Succeeded);
     EXPECT_NE(R.Diagnostics.find("error:"), std::string::npos)
