@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 #include "BenchUtils.h"
+#include "RecoverySource.h"
 
 #include "net/Client.h"
 #include "net/Server.h"
@@ -210,37 +211,11 @@ namespace {
 
 constexpr unsigned RecoveryMix = 8;
 
-/// Heavier than makeProgram: several pragma-annotated nests so a cold
-/// compile pays real parse/sema/lowering/mid-end cost. This is the "job
-/// mix" the recovery acceptance ratio is measured on.
+/// The E17 job mix (bench/RecoverySource.h): eight pragma-annotated
+/// nests per program, so a cold compile pays real front-end and mid-end
+/// cost.
 svc::CompileJob recoveryJob(unsigned I) {
-  std::string S = "#define N 32\n";
-  S += "long seed" + std::to_string(I) + " = " + std::to_string(I) + ";\n";
-  S += "int a[N * N]; int b[N * N]; int c[N * N];\n"
-       "int main(void) {\n";
-  for (int K = 0; K < 8; ++K) {
-    std::string KS = std::to_string(K + 1);
-    S += "  #pragma omp parallel for collapse(2)\n"
-         "  for (int i = 0; i < N; i = i + 1)\n"
-         "    for (int j = 0; j < N; j = j + 1)\n"
-         "      c[i * N + j] = a[i * N + j] * " + KS + " + b[j * N + i];\n"
-         "  #pragma omp unroll partial(16)\n"
-         "  for (int k = 0; k < N * N; k = k + 1)\n"
-         "    a[k] = c[k] + " + KS + ";\n"
-         // Literal bounds: tile's shadow-node verifier rejects loop
-         // bounds spelled via macro expansion (location outside the loop).
-         "  #pragma omp tile sizes(4, 4)\n"
-         "  for (int t1 = 0; t1 < 32; t1 = t1 + 1)\n"
-         "    for (int t2 = 0; t2 < 32; t2 = t2 + 1)\n"
-         "      b[t1 * 32 + t2] = b[t1 * 32 + t2] + a[t2 * 32 + t1];\n";
-  }
-  S += "  long sum = 0;\n"
-       "  for (int k = 0; k < N * N; k = k + 1)\n"
-       "    sum += a[k];\n"
-       "  int out = sum;\n"
-       "  return out;\n"
-       "}\n";
-  return makeJob(std::move(S));
+  return makeJob(bench::recoverySource(I));
 }
 
 /// One-time population of a store root with the recovery mix.

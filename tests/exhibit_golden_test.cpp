@@ -15,6 +15,8 @@
 #include "ast/RecursiveASTVisitor.h"
 #include "driver/CompilerInstance.h"
 
+#include "RecoverySource.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -294,9 +296,13 @@ const Exhibit Exhibits[] = {
     {"fuse_after_tile", FuseAfterTileSource},
 };
 
-std::string emitExhibitIR(const char *Source, bool IRBuilderMode) {
+/// The printed IR of \p Source; at -O1 (\p RunMidend) after the mid-end
+/// pipeline (LoopUnroll, SimplifyCFG, StoreForward, ScalarPromote, DCE).
+std::string emitExhibitIR(const std::string &Source, bool IRBuilderMode,
+                          bool RunMidend = false) {
   CompilerOptions Options;
   Options.LangOpts.OpenMPEnableIRBuilder = IRBuilderMode;
+  Options.RunMidend = RunMidend;
   CompilerInstance CI(Options);
   if (!CI.compileSource(Source)) {
     ADD_FAILURE() << CI.renderDiagnostics();
@@ -354,6 +360,16 @@ TEST_P(ExhibitLowering, IRBuilderIR) {
                     emitExhibitIR(GetParam().Source, true));
 }
 
+TEST_P(ExhibitLowering, LegacyIRAtO1) {
+  compareWithGolden(std::string("ir_o1_legacy_") + GetParam().Name,
+                    emitExhibitIR(GetParam().Source, false, true));
+}
+
+TEST_P(ExhibitLowering, IRBuilderIRAtO1) {
+  compareWithGolden(std::string("ir_o1_irbuilder_") + GetParam().Name,
+                    emitExhibitIR(GetParam().Source, true, true));
+}
+
 TEST_P(ExhibitLowering, IRBuilderCanonicalLoopAst) {
   compareWithGolden(
       std::string("astdump_irbuilder_") + GetParam().Name,
@@ -367,5 +383,12 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Exhibit> &Info) {
       return std::string(Info.param.Name);
     });
+
+// E17's 8-nest recovery job at -O1: eight pragma nests in one function,
+// the mid-end's largest single-function input among the benchmarks.
+TEST(ExhibitGolden, RecoveryMixIRAtO1) {
+  compareWithGolden("ir_o1_recovery_8nest",
+                    emitExhibitIR(bench::recoverySource(0), false, true));
+}
 
 } // namespace
