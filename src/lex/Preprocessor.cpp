@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 
 namespace mcc {
 
@@ -490,8 +493,9 @@ namespace {
 class IfExprEvaluator {
 public:
   IfExprEvaluator(const std::vector<Token> &Toks,
-                  const std::map<std::string, MacroInfo> &Macros)
-      : Toks(Toks), Macros(Macros) {
+                  const std::map<std::string, MacroInfo> &Macros,
+                  DiagnosticsEngine &Diags)
+      : Toks(Toks), Macros(Macros), Diags(Diags) {
     EofTok.startToken();
     EofTok.setKind(tok::eof);
   }
@@ -515,17 +519,67 @@ private:
     return false;
   }
 
+  /// Reports error \p ID at \p Loc and cuts evaluation off: the rest of
+  /// the line is skipped, so every pending level unwinds without
+  /// recursing further. The condition then evaluates to 0.
+  DiagnosticBuilder fail(SourceLocation Loc, diag::DiagID ID) {
+    Pos = Toks.size();
+    return Diags.report(Loc, ID);
+  }
+
+  /// The value of integer literal \p T (suffixes ignored), or 0 with an
+  /// error when it is not an integer that fits in a long long.
+  long long literalValue(const Token &T) {
+    std::string Text(T.getText());
+    errno = 0;
+    char *End = nullptr;
+    long long V = std::strtoll(Text.c_str(), &End, 0);
+    if (errno == ERANGE || End == Text.c_str()) {
+      fail(T.getLocation(), diag::err_pp_invalid_integer) << Text;
+      return 0;
+    }
+    return V;
+  }
+
+  /// \p L \p Op \p R for the arithmetic operators (unary minus is
+  /// 0 - R). An overflowing result, which C leaves undefined and
+  /// LLONG_MIN / -1 turns into a hardware trap, is an error. Division by
+  /// zero yields 0.
+  long long arith(const Token &Op, long long L, long long R) {
+    long long V = 0;
+    bool Overflow = false;
+    switch (Op.getKind()) {
+    case tok::plus:
+      Overflow = __builtin_add_overflow(L, R, &V);
+      break;
+    case tok::minus:
+      Overflow = __builtin_sub_overflow(L, R, &V);
+      break;
+    case tok::star:
+      Overflow = __builtin_mul_overflow(L, R, &V);
+      break;
+    case tok::slash:
+    case tok::percent:
+      if (R == 0)
+        return 0;
+      Overflow = L == std::numeric_limits<long long>::min() && R == -1;
+      if (!Overflow)
+        V = Op.is(tok::slash) ? L / R : L % R;
+      break;
+    default:
+      break;
+    }
+    if (Overflow) {
+      fail(Op.getLocation(), diag::err_pp_expr_overflow);
+      return 0;
+    }
+    return V;
+  }
+
   long long parsePrimary() {
     Token T = next();
-    if (T.is(tok::numeric_constant)) {
-      std::string Text(T.getText());
-      // Strip suffixes.
-      while (!Text.empty() &&
-             (Text.back() == 'u' || Text.back() == 'U' || Text.back() == 'l' ||
-              Text.back() == 'L'))
-        Text.pop_back();
-      return std::stoll(Text, nullptr, 0);
-    }
+    if (T.is(tok::numeric_constant))
+      return literalValue(T);
     if (T.is(tok::identifier)) {
       std::string Name(T.getText());
       if (Name == "defined") {
@@ -540,52 +594,51 @@ private:
       auto It = Macros.find(Name);
       if (It != Macros.end() && !It->second.IsFunctionLike &&
           It->second.Body.size() == 1 &&
-          It->second.Body[0].is(tok::numeric_constant)) {
-        std::string Text(It->second.Body[0].getText());
-        return std::stoll(Text, nullptr, 0);
-      }
+          It->second.Body[0].is(tok::numeric_constant))
+        return literalValue(It->second.Body[0]);
       return 0;
     }
-    if (T.is(tok::l_paren)) {
-      long long V = parseLogicalOr();
-      accept(tok::r_paren);
-      return V;
+    // Parentheses and unary operators recurse: one nesting level each,
+    // bounded like the parser's (Preprocessor::MaxNestingDepth).
+    if (!T.isOneOf(tok::l_paren, tok::exclaim, tok::minus, tok::plus))
+      return 0;
+    if (Depth == Preprocessor::MaxNestingDepth) {
+      fail(T.getLocation(), diag::err_parse_nesting_too_deep)
+          << Preprocessor::MaxNestingDepth;
+      return 0;
     }
-    if (T.is(tok::exclaim))
-      return !parsePrimary();
-    if (T.is(tok::minus))
-      return -parsePrimary();
-    if (T.is(tok::plus))
-      return parsePrimary();
-    return 0;
+    ++Depth;
+    long long V;
+    if (T.is(tok::l_paren)) {
+      V = parseLogicalOr();
+      accept(tok::r_paren);
+    } else if (T.is(tok::exclaim)) {
+      V = !parsePrimary();
+    } else if (T.is(tok::minus)) {
+      V = arith(T, 0, parsePrimary());
+    } else {
+      V = parsePrimary();
+    }
+    --Depth;
+    return V;
   }
 
   long long parseMul() {
     long long L = parsePrimary();
-    while (true) {
-      if (accept(tok::star))
-        L *= parsePrimary();
-      else if (accept(tok::slash)) {
-        long long R = parsePrimary();
-        L = R ? L / R : 0;
-      } else if (accept(tok::percent)) {
-        long long R = parsePrimary();
-        L = R ? L % R : 0;
-      } else
-        return L;
+    while (peek().isOneOf(tok::star, tok::slash, tok::percent)) {
+      Token Op = next();
+      L = arith(Op, L, parsePrimary());
     }
+    return L;
   }
 
   long long parseAdd() {
     long long L = parseMul();
-    while (true) {
-      if (accept(tok::plus))
-        L += parseMul();
-      else if (accept(tok::minus))
-        L -= parseMul();
-      else
-        return L;
+    while (peek().isOneOf(tok::plus, tok::minus)) {
+      Token Op = next();
+      L = arith(Op, L, parseMul());
     }
+    return L;
   }
 
   long long parseCompare() {
@@ -628,7 +681,9 @@ private:
 
   const std::vector<Token> &Toks;
   const std::map<std::string, MacroInfo> &Macros;
+  DiagnosticsEngine &Diags;
   std::size_t Pos = 0;
+  unsigned Depth = 0; // parentheses and unary operators entered
   // Per-evaluator eof sentinel (deliberately not a function-local static:
   // service workers preprocess concurrently).
   Token EofTok;
@@ -636,7 +691,7 @@ private:
 } // namespace
 
 bool Preprocessor::evaluateIfCondition(std::vector<Token> Toks) {
-  IfExprEvaluator Eval(Toks, Macros);
+  IfExprEvaluator Eval(Toks, Macros, Diags);
   return Eval.evaluate() != 0;
 }
 

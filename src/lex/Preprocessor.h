@@ -48,6 +48,13 @@ public:
   Preprocessor(const Preprocessor &) = delete;
   Preprocessor &operator=(const Preprocessor &) = delete;
 
+  /// The deepest nesting the front end accepts (Clang's default bracket
+  /// depth). The #if evaluator counts each parenthesis and unary operator
+  /// against it; Parser::MaxNestingDepth is this limit, and documents
+  /// what the parser counts. Deeper input is refused with
+  /// err_parse_nesting_too_deep instead of exhausting the stack.
+  static constexpr unsigned MaxNestingDepth = 256;
+
   /// Starts preprocessing \p Path (resolved through the FileManager).
   /// Returns false if the file cannot be read.
   bool enterMainFile(const std::string &Path);

@@ -34,8 +34,8 @@ public:
   /// Deeper input is refused with err_parse_nesting_too_deep, so hostile
   /// nesting fails with a diagnostic instead of exhausting the stack of
   /// the compiler or of a daemon worker. The value is Clang's default
-  /// bracket depth.
-  static constexpr unsigned MaxNestingDepth = 256;
+  /// bracket depth, shared with the preprocessor's #if evaluator.
+  static constexpr unsigned MaxNestingDepth = Preprocessor::MaxNestingDepth;
 
 private:
   /// One level of parser recursion (see MaxNestingDepth). Past the limit

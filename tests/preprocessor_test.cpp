@@ -174,6 +174,96 @@ TEST(PreprocessorTest, ElifChain) {
   EXPECT_EQ(PPHarness::spelling(H.run()), "int b ;");
 }
 
+// Hostile #if expressions fail with one error instead of crashing: the
+// condition is false and the rest of the line is skipped.
+std::vector<diag::DiagID> diagIDs(const PPHarness &H) {
+  std::vector<diag::DiagID> IDs;
+  for (const Diagnostic &D : H.Consumer.getDiagnostics())
+    IDs.push_back(D.ID);
+  return IDs;
+}
+
+std::string ifNested(const std::string &Open, const std::string &Close,
+                     unsigned Depth) {
+  std::string S = "#if ";
+  for (unsigned I = 0; I < Depth; ++I)
+    S += Open;
+  S += "1";
+  for (unsigned I = 0; I < Depth; ++I)
+    S += Close;
+  return S + "\nint a;\n#endif\nint b;\n";
+}
+
+TEST(PreprocessorTest, IfHundredThousandParensGiveOneDiagnostic) {
+  PPHarness H(ifNested("(", ")", 100000));
+  EXPECT_EQ(PPHarness::spelling(H.run()), "int b ;");
+  EXPECT_EQ(diagIDs(H),
+            std::vector<diag::DiagID>{diag::err_parse_nesting_too_deep});
+}
+
+TEST(PreprocessorTest, IfNestingLimitIsTheParsers) {
+  // Spaced so that "- -" does not lex as "--".
+  for (const char *Unary : {"(", "- ", "!", "+ "}) {
+    std::string Close = Unary[0] == '(' ? ")" : "";
+    PPHarness AtLimit(
+        ifNested(Unary, Close, Preprocessor::MaxNestingDepth));
+    AtLimit.run();
+    EXPECT_EQ(AtLimit.Diags.getNumErrors(), 0u) << Unary;
+    PPHarness Beyond(
+        ifNested(Unary, Close, Preprocessor::MaxNestingDepth + 1));
+    Beyond.run();
+    EXPECT_EQ(diagIDs(Beyond),
+              std::vector<diag::DiagID>{diag::err_parse_nesting_too_deep})
+        << Unary;
+  }
+}
+
+TEST(PreprocessorTest, IfLiteralTooLargeDiagnosed) {
+  PPHarness H("#if 99999999999999999999\nint a;\n#endif\n"
+              "#define BIG 0x10000000000000000\n#if BIG\nint b;\n#endif\n"
+              "#if 9223372036854775807 == 0x7fffffffffffffff\nint c;\n"
+              "#endif\n");
+  EXPECT_EQ(PPHarness::spelling(H.run()), "int c ;");
+  EXPECT_EQ(diagIDs(H),
+            (std::vector<diag::DiagID>{diag::err_pp_invalid_integer,
+                                       diag::err_pp_invalid_integer}));
+}
+
+TEST(PreprocessorTest, IfMinDividedByMinusOneDiagnosed) {
+  PPHarness H("#if (-9223372036854775807 - 1) / -1\nint a;\n#endif\n"
+              "int b;\n");
+  EXPECT_EQ(PPHarness::spelling(H.run()), "int b ;");
+  EXPECT_EQ(diagIDs(H),
+            std::vector<diag::DiagID>{diag::err_pp_expr_overflow});
+}
+
+TEST(PreprocessorTest, IfMinRemainderMinusOneDiagnosed) {
+  PPHarness H("#if (-9223372036854775807 - 1) % -1\nint a;\n#endif\n"
+              "int b;\n");
+  EXPECT_EQ(PPHarness::spelling(H.run()), "int b ;");
+  EXPECT_EQ(diagIDs(H),
+            std::vector<diag::DiagID>{diag::err_pp_expr_overflow});
+}
+
+TEST(PreprocessorTest, IfArithmeticOverflowDiagnosed) {
+  for (const char *Expr :
+       {"-(-9223372036854775807 - 1)", "9223372036854775807 + 1",
+        "-9223372036854775807 - 2", "3037000500 * 3037000500"}) {
+    PPHarness H(std::string("#if ") + Expr + "\nint a;\n#endif\n");
+    EXPECT_EQ(PPHarness::spelling(H.run()), "") << Expr;
+    EXPECT_EQ(diagIDs(H),
+              std::vector<diag::DiagID>{diag::err_pp_expr_overflow})
+        << Expr;
+  }
+  // In range, including the extremes and division by zero (0).
+  PPHarness H("#if -9223372036854775807 - 1 < 0 && "
+              "(-9223372036854775807 - 1) / 1 < 0 && -7 / 2 == -3 && "
+              "-7 % 2 == -1 && 7 / 0 == 0 && 3037000499 * 3037000499 > 0\n"
+              "int a;\n#endif\n");
+  EXPECT_EQ(PPHarness::spelling(H.run()), "int a ;");
+  EXPECT_EQ(H.Diags.getNumErrors(), 0u);
+}
+
 TEST(PreprocessorTest, UnterminatedConditionalDiagnosed) {
   PPHarness H("#ifdef X\nint a;\n");
   H.run();

@@ -717,3 +717,31 @@ TEST(ServiceRobustness, RefusedJobsLeaveTheWorkerServing) {
   ASSERT_TRUE(R.Succeeded) << R.Diagnostics;
   EXPECT_EQ(R.ExitValue, 7);
 }
+
+// Each #if the preprocessor used to crash on (stack overflow, an uncaught
+// std::out_of_range, SIGFPE twice) now fails its job with a diagnostic,
+// and the single worker serves the next job.
+TEST(ServiceRobustness, HostileIfConditionsLeaveTheWorkerServing) {
+  ServiceOptions SO;
+  SO.NumWorkers = 1;
+  CompileService Service(SO);
+  std::string DeepIf =
+      "#if " + std::string(100000, '(') + "1" + std::string(100000, ')');
+  for (const std::string &Cond :
+       {DeepIf, std::string("#if 99999999999999999999"),
+        std::string("#if (-9223372036854775807 - 1) / -1"),
+        std::string("#if (-9223372036854775807 - 1) % -1")}) {
+    CompileJob Bad =
+        makeJob(Cond + "\nint x;\n#endif\nint main(void) { return 3; }\n");
+    Bad.Execute = true;
+    CompileResult R = Service.enqueue(std::move(Bad)).get();
+    EXPECT_FALSE(R.Succeeded);
+    EXPECT_NE(R.Diagnostics.find("error:"), std::string::npos)
+        << R.Diagnostics;
+    CompileJob Next = makeJob(SumProgram);
+    Next.Execute = true;
+    CompileResult N = Service.enqueue(std::move(Next)).get();
+    ASSERT_TRUE(N.Succeeded) << N.Diagnostics;
+    EXPECT_EQ(N.ExitValue, 1225);
+  }
+}
