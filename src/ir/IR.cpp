@@ -206,6 +206,23 @@ std::vector<BasicBlock *> BasicBlock::predecessors() const {
   return Preds;
 }
 
+PredecessorMap computePredecessors(const Function &F) {
+  PredecessorMap Preds;
+  for (const auto &BB : F.blocks()) {
+    Instruction *Term = BB->getTerminator();
+    if (!Term || Term->getOpcode() != Opcode::Br)
+      continue;
+    for (unsigned I = 0; I < Term->getNumSuccessors(); ++I) {
+      BasicBlock *Succ = Term->getSuccessor(I);
+      // Both arms to one block are a single predecessor entry.
+      if (I == 1 && Term->getSuccessor(0) == Succ)
+        continue;
+      Preds[Succ].push_back(BB.get());
+    }
+  }
+  return Preds;
+}
+
 BasicBlock *Function::createBlockAfter(BasicBlock *After,
                                        std::string BlockName) {
   auto NewBB = std::make_unique<BasicBlock>(uniquify(std::move(BlockName)));

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace mcc::ir {
@@ -423,6 +424,12 @@ public:
   void erase(std::size_t Index) {
     Insts.erase(Insts.begin() + static_cast<std::ptrdiff_t>(Index));
   }
+  /// Removes and destroys every instruction \p Dead selects, in one pass.
+  template <typename Pred> void eraseIf(Pred Dead) {
+    std::erase_if(Insts, [&](const std::unique_ptr<Instruction> &I) {
+      return Dead(static_cast<const Instruction *>(I.get()));
+    });
+  }
   /// Removes the instruction, transferring ownership.
   std::unique_ptr<Instruction> take(std::size_t Index) {
     auto I = std::move(Insts[Index]);
@@ -430,7 +437,8 @@ public:
     return I;
   }
 
-  /// The blocks branching to this one (computed by scanning the parent).
+  /// The blocks branching to this one, in block order (computed by
+  /// scanning the parent; use computePredecessors() to query many blocks).
   [[nodiscard]] std::vector<BasicBlock *> predecessors() const;
 
   static bool classof(const Value *V) {
@@ -591,6 +599,16 @@ struct ValueNumbering {
 };
 
 ValueNumbering numberFunctionValues(const Function &F);
+
+/// The predecessor lists of every block of a function, keyed by block.
+/// A block without predecessors has no entry.
+using PredecessorMap =
+    std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>;
+
+/// Predecessor lists of all blocks of \p F from one scan of the
+/// terminators. Each list is exactly what BasicBlock::predecessors()
+/// returns for that block: block order, one entry per predecessor.
+PredecessorMap computePredecessors(const Function &F);
 
 /// Renders the module as LLVM-flavored text.
 std::string printModule(const Module &M);

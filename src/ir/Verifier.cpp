@@ -8,8 +8,9 @@
 //===----------------------------------------------------------------------===//
 #include "ir/IR.h"
 
-#include <set>
+#include <optional>
 #include <sstream>
+#include <unordered_set>
 
 namespace mcc::ir {
 
@@ -102,8 +103,18 @@ private:
     }
   }
 
+  /// The predecessor lists, scanned once on the first phi.
+  const PredecessorMap &predecessors() {
+    if (!PredMap)
+      PredMap = computePredecessors(F);
+    return *PredMap;
+  }
+
   void verifyPhi(const BasicBlock &BB, const Instruction &I) {
-    std::vector<BasicBlock *> Preds = BB.predecessors();
+    static const std::vector<BasicBlock *> NoPreds;
+    auto It = predecessors().find(&BB);
+    const std::vector<BasicBlock *> &Preds =
+        It == PredMap->end() ? NoPreds : It->second;
     if (I.getNumIncoming() != Preds.size()) {
       error(BB, &I,
             "phi has " + std::to_string(I.getNumIncoming()) +
@@ -240,8 +251,9 @@ private:
   }
 
   const Function &F;
-  std::set<const Value *> Defined;
-  std::set<const BasicBlock *> BlocksInFunction;
+  std::unordered_set<const Value *> Defined;
+  std::unordered_set<const BasicBlock *> BlocksInFunction;
+  std::optional<PredecessorMap> PredMap;
   std::ostringstream Errors;
 };
 

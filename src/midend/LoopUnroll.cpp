@@ -18,6 +18,7 @@ namespace {
 ///   (b) canonical skeleton: Header holds the IV phi and falls through to
 ///       a separate CondBlock.
 struct LoopShape {
+  BasicBlock *Preheader = nullptr; // last header predecessor besides Latch
   BasicBlock *Header = nullptr;
   BasicBlock *CondBlock = nullptr;
   Instruction *CondBr = nullptr;
@@ -44,6 +45,10 @@ bool analyzeLoop(Function &F, Instruction *LatchBr, LoopShape &L) {
 
   // Collect the loop blocks: backward reachability from the latch,
   // stopping at the header.
+  PredecessorMap Preds = computePredecessors(F);
+  for (BasicBlock *Pred : Preds[L.Header])
+    if (Pred != L.Latch)
+      L.Preheader = Pred;
   std::set<BasicBlock *> InLoop = {L.Header};
   std::vector<BasicBlock *> Work = {L.Latch};
   while (!Work.empty()) {
@@ -52,7 +57,7 @@ bool analyzeLoop(Function &F, Instruction *LatchBr, LoopShape &L) {
     if (InLoop.count(BB))
       continue;
     InLoop.insert(BB);
-    for (BasicBlock *Pred : BB->predecessors())
+    for (BasicBlock *Pred : Preds[BB])
       if (!InLoop.count(Pred))
         Work.push_back(Pred);
   }
@@ -213,10 +218,7 @@ void doUnrollWithRemainder(UnrollContext &Ctx, LoopShape &L, unsigned K) {
   Module &M = Ctx.M;
   const IRType *IVTy = L.IVPhi->getType();
 
-  BasicBlock *Preheader = nullptr;
-  for (BasicBlock *Pred : L.Header->predecessors())
-    if (Pred != L.Latch)
-      Preheader = Pred;
+  BasicBlock *Preheader = L.Preheader;
   assert(Preheader && "loop without preheader");
 
   // 1. Remainder loop: full clone, running [mainTrip, trip).
@@ -385,28 +387,25 @@ LoopUnrollStats runLoopUnroll(Module &M, const LoopUnrollOptions &Opts) {
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
-    // Iterate to a fixed point: unrolling may expose nested annotated
-    // loops (e.g. the floor loop of a tiled partial unroll).
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const auto &BB : F->blocks()) {
-        Instruction *Term = BB->getTerminator();
-        if (!Term || Term->getOpcode() != Opcode::Br ||
-            Term->isConditionalBr())
-          continue;
-        if (!Term->LoopMD.any() || Term->LoopMD.UnrollDisable)
-          continue;
-        if (!Term->LoopMD.UnrollFull && !Term->LoopMD.UnrollEnable &&
-            Term->LoopMD.UnrollCount == 0) {
-          // Only vectorize hints: nothing for this pass.
-          continue;
-        }
-        UnrollContext Ctx{M, *F, Opts, Stats};
-        processLoop(Ctx, Term);
-        Changed = true;
-        break; // block list changed; restart scan
+    // One scan in block order. Processing a loop inserts its clones after
+    // the latch being visited and leaves that latch unannotated; no block
+    // before it changes its terminator. So the scan goes on from there
+    // and still meets every annotated loop unrolling exposes (e.g. the
+    // floor loop of a tiled partial unroll, cloned into the new blocks).
+    for (std::size_t Idx = 0; Idx < F->blocks().size(); ++Idx) {
+      Instruction *Term = F->blocks()[Idx]->getTerminator();
+      if (!Term || Term->getOpcode() != Opcode::Br ||
+          Term->isConditionalBr())
+        continue;
+      if (!Term->LoopMD.any() || Term->LoopMD.UnrollDisable)
+        continue;
+      if (!Term->LoopMD.UnrollFull && !Term->LoopMD.UnrollEnable &&
+          Term->LoopMD.UnrollCount == 0) {
+        // Only vectorize hints: nothing for this pass.
+        continue;
       }
+      UnrollContext Ctx{M, *F, Opts, Stats};
+      processLoop(Ctx, Term);
     }
   }
   return Stats;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace mcc::midend {
 
@@ -153,133 +155,443 @@ unsigned forwardLoadsInFunction(Function &F) {
 
 // ===--------------- Scalar promotion over natural loops ---------------=== //
 
+/// One function's CFG facts for scalar promotion: predecessor lists, the
+/// reverse post-order (RPO) with its DFS tree, the immediate-dominator
+/// tree and the natural loops. Built once per function. The only CFG
+/// change promotion makes, splitting a loop's exit edge with a
+/// `.promote.exit` block, is applied in place by splitEdge().
+class CFGSnapshot {
+public:
+  struct Loop {
+    BasicBlock *Header = nullptr;
+    std::vector<BasicBlock *> Blocks;      // unordered
+    std::vector<BasicBlock *> BackSources; // blocks with an edge to Header
+  };
+
+  explicit CFGSnapshot(Function &F) {
+    for (const auto &BB : F.blocks())
+      addNode(BB.get());
+    for (auto &[BB, Preds] : computePredecessors(F))
+      if (auto It = Ids.find(BB); It != Ids.end())
+        Nodes[It->second].Preds = std::move(Preds);
+    computeRPO();
+    computeDominators();
+    computeLoops();
+  }
+
+  [[nodiscard]] const std::vector<Loop> &loops() const { return Loops; }
+  [[nodiscard]] const std::vector<BasicBlock *> &
+  preds(const BasicBlock *BB) const {
+    return Nodes[id(BB)].Preds;
+  }
+  /// The loops containing \p BB.
+  [[nodiscard]] const std::vector<unsigned> &
+  loopsOf(const BasicBlock *BB) const {
+    return Nodes[id(BB)].Loops;
+  }
+  [[nodiscard]] bool contains(unsigned K, const BasicBlock *BB) const {
+    const std::vector<unsigned> &Ls = loopsOf(BB);
+    return std::find(Ls.begin(), Ls.end(), K) != Ls.end();
+  }
+  [[nodiscard]] bool reachable(const BasicBlock *BB) const {
+    return Nodes[id(BB)].RPONum != None;
+  }
+  /// Position in the RPO; only meaningful for reachable blocks.
+  [[nodiscard]] unsigned rpoNumber(const BasicBlock *BB) const {
+    return Nodes[id(BB)].RPONum;
+  }
+  /// Whether \p A dominates \p B; false when either is unreachable.
+  [[nodiscard]] bool dominates(const BasicBlock *A,
+                               const BasicBlock *B) const {
+    unsigned NA = id(A), NB = id(B);
+    if (Nodes[NA].RPONum == None || Nodes[NB].RPONum == None)
+      return false;
+    // Dominators precede in RPO: climb B's idom chain down to A's number.
+    while (Nodes[NB].RPONum > Nodes[NA].RPONum)
+      NB = Nodes[NB].IDom;
+    return NA == NB;
+  }
+
+  /// Records the new block \p W on the edge \p C -> \p E. C's terminator
+  /// and E's phis already name W, W branches to E, and W was created
+  /// right after C in block order.
+  void splitEdge(BasicBlock *C, BasicBlock *E, BasicBlock *W) {
+    unsigned NC = id(C), NE = id(E), NW = addNode(W);
+    Nodes[NW].Preds = {C};
+    // W is the only block between C and its old block-order neighbour,
+    // so it takes C's slot.
+    std::replace(Nodes[NE].Preds.begin(), Nodes[NE].Preds.end(), C, W);
+
+    if (Nodes[NC].RPONum != None)
+      insertIntoRPO(NC, NE, NW);
+
+    // W is on a loop's block list exactly when E is and W is not the
+    // header's entry edge, i.e. C->E was not a back edge of that loop.
+    for (unsigned K : Nodes[NE].Loops) {
+      Loop &L = Loops[K];
+      auto BS = std::find(L.BackSources.begin(), L.BackSources.end(), C);
+      if (L.Header == E && BS == L.BackSources.end())
+        continue;
+      L.Blocks.push_back(W);
+      Nodes[NW].Loops.push_back(K);
+      if (BS != L.BackSources.end()) {
+        *BS = W;
+        std::stable_sort(L.BackSources.begin(), L.BackSources.end(),
+                         [&](BasicBlock *X, BasicBlock *Y) {
+                           return rpoNumber(X) < rpoNumber(Y);
+                         });
+      }
+    }
+  }
+
+private:
+  static constexpr unsigned None = ~0u;
+
+  struct Node {
+    BasicBlock *BB = nullptr;
+    std::vector<BasicBlock *> Preds; // as BasicBlock::predecessors()
+    unsigned RPONum = None;          // None: unreachable
+    unsigned IDom = None;
+    unsigned DFSParent = None;
+    unsigned SubtreeSize = 0; // blocks in the DFS subtree rooted here
+    std::vector<unsigned> Loops;
+  };
+
+  [[nodiscard]] unsigned id(const BasicBlock *BB) const {
+    auto It = Ids.find(BB);
+    assert(It != Ids.end() && "block not in the snapshot");
+    return It->second;
+  }
+  unsigned addNode(BasicBlock *BB) {
+    Ids[BB] = static_cast<unsigned>(Nodes.size());
+    Nodes.emplace_back().BB = BB;
+    return static_cast<unsigned>(Nodes.size() - 1);
+  }
+
+  /// Depth-first search from the entry, successors in terminator order.
+  void computeRPO() {
+    struct Frame {
+      unsigned N;
+      unsigned NextSucc;
+    };
+    std::vector<bool> Seen(Nodes.size());
+    std::vector<unsigned> Post;
+    std::vector<Frame> Stack = {{0, 0}};
+    Seen[0] = true;
+    while (!Stack.empty()) {
+      Frame &Fr = Stack.back();
+      unsigned N = Fr.N;
+      Instruction *T = Nodes[N].BB->getTerminator();
+      if (T && Fr.NextSucc < T->getNumSuccessors()) {
+        unsigned S = id(T->getSuccessor(Fr.NextSucc++));
+        if (!Seen[S]) {
+          Seen[S] = true;
+          Nodes[S].DFSParent = N;
+          Stack.push_back({S, 0});
+        }
+        continue;
+      }
+      Stack.pop_back();
+      Post.push_back(N);
+      Node &Done = Nodes[N];
+      ++Done.SubtreeSize;
+      if (Done.DFSParent != None)
+        Nodes[Done.DFSParent].SubtreeSize += Done.SubtreeSize;
+    }
+    RPO.assign(Post.rbegin(), Post.rend());
+    renumberFrom(0);
+  }
+
+  void renumberFrom(std::size_t Pos) {
+    for (; Pos < RPO.size(); ++Pos)
+      Nodes[RPO[Pos]].RPONum = static_cast<unsigned>(Pos);
+  }
+
+  /// Cooper, Harvey and Kennedy's "A Simple, Fast Dominance Algorithm".
+  void computeDominators() {
+    auto Intersect = [&](unsigned A, unsigned B) {
+      while (A != B) {
+        while (Nodes[A].RPONum > Nodes[B].RPONum)
+          A = Nodes[A].IDom;
+        while (Nodes[B].RPONum > Nodes[A].RPONum)
+          B = Nodes[B].IDom;
+      }
+      return A;
+    };
+    Nodes[RPO[0]].IDom = RPO[0];
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (std::size_t I = 1; I < RPO.size(); ++I) {
+        Node &N = Nodes[RPO[I]];
+        unsigned New = None;
+        for (BasicBlock *P : N.Preds) {
+          unsigned NP = id(P);
+          if (Nodes[NP].IDom == None)
+            continue; // unreachable, or not processed yet
+          New = New == None ? NP : Intersect(NP, New);
+        }
+        if (New != N.IDom) {
+          N.IDom = New;
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  /// Natural loops: back edges B->H where H dominates B; bodies by
+  /// backward reachability from B stopping at H.
+  void computeLoops() {
+    std::unordered_map<const BasicBlock *, unsigned> LoopOf;
+    for (unsigned N : RPO) {
+      BasicBlock *BB = Nodes[N].BB;
+      Instruction *T = BB->getTerminator();
+      if (!T)
+        continue;
+      for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
+        BasicBlock *H = T->getSuccessor(S);
+        if (!dominates(H, BB))
+          continue;
+        auto [It, New] =
+            LoopOf.try_emplace(H, static_cast<unsigned>(Loops.size()));
+        unsigned K = It->second;
+        if (New) {
+          Loops.emplace_back().Header = H;
+          addToLoop(K, H);
+        }
+        Loops[K].BackSources.push_back(BB);
+        std::vector<BasicBlock *> Work = {BB};
+        while (!Work.empty()) {
+          BasicBlock *Cur = Work.back();
+          Work.pop_back();
+          if (contains(K, Cur))
+            continue;
+          addToLoop(K, Cur);
+          for (BasicBlock *P : preds(Cur))
+            Work.push_back(P);
+        }
+      }
+    }
+  }
+
+  void addToLoop(unsigned K, BasicBlock *BB) {
+    Loops[K].Blocks.push_back(BB);
+    Nodes[id(BB)].Loops.push_back(K);
+  }
+
+  /// Places the new block \p NW, reached only through C->W->E, where a
+  /// fresh DFS would: W becomes a DFS child of C, and the RPO of C's
+  /// subtree lists C, then its children's subtrees in reverse order of
+  /// discovery. So W goes right before E when E was first reached over
+  /// this edge (E's subtree now hangs below W), else right before the
+  /// last child C discovered over an earlier edge, else right after
+  /// C's whole subtree.
+  void insertIntoRPO(unsigned NC, unsigned NE, unsigned NW) {
+    Node &C = Nodes[NC];
+    Node &E = Nodes[NE];
+    Node &W = Nodes[NW];
+    W.DFSParent = NC;
+    W.SubtreeSize = 1;
+    std::size_t Pos;
+    if (E.DFSParent == NC) {
+      E.DFSParent = NW;
+      W.SubtreeSize += E.SubtreeSize;
+      Pos = E.RPONum;
+    } else {
+      Pos = C.RPONum + C.SubtreeSize;
+      Instruction *T = C.BB->getTerminator();
+      for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
+        BasicBlock *Succ = T->getSuccessor(S);
+        if (Succ == W.BB)
+          break;
+        if (Succ != E.BB && Nodes[id(Succ)].DFSParent == NC)
+          Pos = Nodes[id(Succ)].RPONum;
+      }
+    }
+    for (unsigned A = NC; A != None; A = Nodes[A].DFSParent)
+      ++Nodes[A].SubtreeSize;
+    RPO.insert(RPO.begin() + static_cast<std::ptrdiff_t>(Pos), NW);
+    renumberFrom(Pos);
+
+    // Every path into W comes from C. E's paths all pass W exactly when
+    // its other predecessors are unreachable or reached through E.
+    W.IDom = NC;
+    bool WDominatesE = true;
+    for (BasicBlock *P : E.Preds)
+      if (P != W.BB && reachable(P) && !dominates(E.BB, P))
+        WDominatesE = false;
+    if (WDominatesE)
+      E.IDom = NW;
+  }
+
+  std::unordered_map<const BasicBlock *, unsigned> Ids;
+  std::vector<Node> Nodes; // by id: function block order, then splits
+  std::vector<unsigned> RPO;
+  std::vector<Loop> Loops;
+};
+
 /// Chases GEPs to the pointer they index into. Indexing stays within the
 /// underlying object, so a GEP access aliases only its base object.
-Value *baseObject(Value *V) {
+template <typename ResolveFn> Value *baseObject(Value *V, ResolveFn Resolve) {
   while (auto *I = ir_dyn_cast<Instruction>(V)) {
     if (I->getOpcode() != Opcode::GEP)
       break;
-    V = I->getOperand(0);
+    V = Resolve(I->getOperand(0));
   }
   return V;
 }
 
-/// Reverse post-order over the reachable CFG.
-std::vector<BasicBlock *> rpoOrder(Function &F) {
-  struct Frame {
-    BasicBlock *BB;
-    unsigned NextSucc;
-  };
-  std::vector<BasicBlock *> Post;
-  std::set<BasicBlock *> Seen = {F.getEntryBlock()};
-  std::vector<Frame> Stack = {{F.getEntryBlock(), 0}};
-  while (!Stack.empty()) {
-    Frame &Fr = Stack.back();
-    Instruction *T = Fr.BB->getTerminator();
-    unsigned N = T ? T->getNumSuccessors() : 0;
-    if (Fr.NextSucc < N) {
-      BasicBlock *S = T->getSuccessor(Fr.NextSucc++);
-      if (Seen.insert(S).second)
-        Stack.push_back({S, 0});
-    } else {
-      Post.push_back(Fr.BB);
-      Stack.pop_back();
-    }
-  }
-  std::reverse(Post.begin(), Post.end());
-  return Post;
-}
-
-/// Iterative dominator sets (functions here are small).
-std::map<BasicBlock *, std::set<BasicBlock *>>
-computeDominators(Function &F, const std::vector<BasicBlock *> &RPO) {
-  std::map<BasicBlock *, std::set<BasicBlock *>> Dom;
-  std::set<BasicBlock *> All(RPO.begin(), RPO.end());
-  for (BasicBlock *BB : RPO)
-    Dom[BB] = All;
-  BasicBlock *Entry = F.getEntryBlock();
-  Dom[Entry] = {Entry};
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BasicBlock *BB : RPO) {
-      if (BB == Entry)
-        continue;
-      std::set<BasicBlock *> NewDom;
-      bool First = true;
-      for (BasicBlock *P : BB->predecessors()) {
-        if (!All.count(P))
-          continue;
-        const std::set<BasicBlock *> &PD = Dom[P];
-        if (First) {
-          NewDom = PD;
-          First = false;
-        } else {
-          for (auto It = NewDom.begin(); It != NewDom.end();)
-            if (!PD.count(*It))
-              It = NewDom.erase(It);
-            else
-              ++It;
-        }
-      }
-      NewDom.insert(BB);
-      if (NewDom != Dom[BB]) {
-        Dom[BB] = std::move(NewDom);
-        Changed = true;
-      }
-    }
-  }
-  return Dom;
-}
-
-struct NaturalLoop {
-  BasicBlock *Header = nullptr;
-  std::set<BasicBlock *> Blocks;
-  std::vector<BasicBlock *> BackSources; // blocks with an edge to Header
-};
-
-/// An alloca is promotable storage only if its address never escapes:
-/// every use in the function is as a load's pointer or a store's
-/// destination (being a store's *value* operand publishes the address).
-std::set<const Value *> nonEscapingAllocas(Function &F) {
-  std::set<const Value *> Allocas, Escaped;
-  for (const auto &BB : F.blocks())
-    for (const auto &IP : BB->instructions()) {
-      if (IP->getOpcode() == Opcode::Alloca)
-        Allocas.insert(IP.get());
-      for (unsigned K = 0; K < IP->getNumOperands(); ++K) {
-        Value *Op = IP->getOperand(K);
-        const auto *OpI = ir_dyn_cast<Instruction>(Op);
-        if (!OpI || OpI->getOpcode() != Opcode::Alloca)
-          continue;
-        bool Safe = (IP->getOpcode() == Opcode::Load && K == 0) ||
-                    (IP->getOpcode() == Opcode::Store && K == 1);
-        if (!Safe)
-          Escaped.insert(Op);
-      }
-    }
-  for (const Value *A : Escaped)
-    Allocas.erase(A);
-  return Allocas;
+bool isAlloca(const Value *V) {
+  const auto *I = ir_dyn_cast<Instruction>(V);
+  return I && I->getOpcode() == Opcode::Alloca;
 }
 
 /// Promotes scalars that live in memory (globals and non-escaping
-/// allocas) into SSA registers across one natural loop: initial load in
+/// allocas) into SSA registers across natural loops: initial load in
 /// the preheader, phis at the header and interior joins, writeback at
 /// the single exit. This is what breaks the per-iteration
 /// load/add/store round-trip on accumulator globals that store-to-load
 /// forwarding (block-local) cannot touch.
-unsigned promoteInLoop(Function &F, const NaturalLoop &L,
-                       const std::map<BasicBlock *, std::set<BasicBlock *>>
-                           &Dom,
-                       const std::vector<BasicBlock *> &RPO,
-                       const std::set<const Value *> &SafeAllocas) {
+///
+/// Innermost loops go first (fewest blocks, then header name): an
+/// accumulator promoted out of an inner loop reappears (as the inserted
+/// preheader load / writeback store) inside the enclosing loop and is
+/// hoisted again when that loop's turn comes. Accesses only ever move
+/// outward through the nest, so this terminates.
+///
+/// The function is analysed once (CFGSnapshot). A promotion's loads and
+/// stores are only marked erased and its replaced loads only recorded:
+/// every scan skips the marks and reads operands through the
+/// replacements, and both are applied to the IR once at the end. The
+/// result is the IR of promoting one loop at a time and re-analysing
+/// the whole function after each: a loop that failed is tried again only
+/// after a promotion touched one of its blocks, the preheader or exit
+/// edge it depends on, a user of a replaced load, or the set of
+/// non-escaping allocas.
+class ScalarPromoter {
+public:
+  explicit ScalarPromoter(Function &F)
+      : F(F), Snap(F), Queue(LoopOrder{&Snap}) {
+    SafeAllocas = nonEscapingAllocas();
+    for (const auto &BB : F.blocks())
+      for (const auto &IP : BB->instructions())
+        noteUses(IP.get());
+  }
+
+  unsigned run() {
+    for (unsigned K = 0; K < Snap.loops().size(); ++K)
+      Queue.insert(K);
+    unsigned Promoted = 0;
+    while (!Queue.empty()) {
+      unsigned K = *Queue.begin();
+      Queue.erase(Queue.begin());
+      Promoted += promoteInLoop(K);
+    }
+    if (Promoted == 0)
+      return 0;
+    for (const auto &BB : F.blocks()) {
+      BB->eraseIf([&](const Instruction *I) { return Erased.count(I); });
+      for (const auto &IP : BB->instructions())
+        for (unsigned K = 0; K < IP->getNumOperands(); ++K)
+          IP->setOperand(K, resolve(IP->getOperand(K)));
+    }
+    return Promoted;
+  }
+
+private:
+  /// Fewest blocks first, then header name: innermost loops first, in a
+  /// deterministic order.
+  struct LoopOrder {
+    const CFGSnapshot *Snap;
+    bool operator()(unsigned A, unsigned B) const {
+      const CFGSnapshot::Loop &LA = Snap->loops()[A];
+      const CFGSnapshot::Loop &LB = Snap->loops()[B];
+      if (LA.Blocks.size() != LB.Blocks.size())
+        return LA.Blocks.size() < LB.Blocks.size();
+      return LA.Header->getName() < LB.Header->getName();
+    }
+  };
+
+  /// \p V after the replacements of the promotions done so far.
+  Value *resolve(Value *V) const {
+    for (auto It = Replace.find(V); It != Replace.end(); It = Replace.find(V))
+      V = It->second;
+    return V;
+  }
+
+  /// Records \p I as a user of its load and GEP operands: replacing such
+  /// a load changes what \p I (and, through GEPs, its users) access.
+  void noteUses(Instruction *I) {
+    for (Value *Op : I->operands())
+      if (auto *OpI = ir_dyn_cast<Instruction>(Op))
+        if (OpI->getOpcode() == Opcode::Load ||
+            OpI->getOpcode() == Opcode::GEP)
+          Users[OpI].push_back(I);
+  }
+
+  /// An alloca is promotable storage only if its address never escapes:
+  /// every use in the function is as a load's pointer or a store's
+  /// destination (being a store's *value* operand publishes the address).
+  std::unordered_set<const Value *> nonEscapingAllocas() const {
+    std::unordered_set<const Value *> Allocas, Escaped;
+    for (const auto &BB : F.blocks())
+      for (const auto &IP : BB->instructions()) {
+        if (Erased.count(IP.get()))
+          continue;
+        if (IP->getOpcode() == Opcode::Alloca)
+          Allocas.insert(IP.get());
+        for (unsigned K = 0; K < IP->getNumOperands(); ++K) {
+          Value *Op = resolve(IP->getOperand(K));
+          if (!isAlloca(Op))
+            continue;
+          bool Safe = (IP->getOpcode() == Opcode::Load && K == 0) ||
+                      (IP->getOpcode() == Opcode::Store && K == 1);
+          if (!Safe)
+            Escaped.insert(Op);
+        }
+      }
+    for (const Value *A : Escaped)
+      Allocas.erase(A);
+    return Allocas;
+  }
+
+  void markLoopsOf(const BasicBlock *BB, std::set<unsigned> &Dirty) const {
+    const std::vector<unsigned> &Ls = Snap.loopsOf(BB);
+    Dirty.insert(Ls.begin(), Ls.end());
+  }
+
+  unsigned promoteInLoop(unsigned K);
+
+  Function &F;
+  CFGSnapshot Snap;
+  std::set<unsigned, LoopOrder> Queue; // loops to (re)try
+  std::unordered_set<const Value *> SafeAllocas;
+  std::unordered_map<Value *, Value *> Replace; // replaced load -> value
+  std::unordered_set<const Instruction *> Erased;
+  std::unordered_map<const Value *, std::vector<Instruction *>> Users;
+};
+
+unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
+  const CFGSnapshot::Loop &L = Snap.loops()[LoopIdx];
+  auto InLoop = [&](const BasicBlock *BB) {
+    return Snap.contains(LoopIdx, BB);
+  };
+  auto Resolve = [&](Value *V) { return resolve(V); };
+  // The pointer a load or store not yet erased accesses; null for any
+  // other instruction.
+  auto accessed = [&](const std::unique_ptr<Instruction> &IP) -> Value * {
+    Opcode Op = IP->getOpcode();
+    if ((Op != Opcode::Load && Op != Opcode::Store) || Erased.count(IP.get()))
+      return nullptr;
+    return resolve(IP->getOperand(Op == Opcode::Load ? 0 : 1));
+  };
+
   // Structural gates: unique preheader, a single exit edge whose target
   // is reached only from the loop, and no calls (a callee may touch any
   // global or escaped storage).
   BasicBlock *Preheader = nullptr;
-  for (BasicBlock *P : L.Header->predecessors()) {
-    if (L.Blocks.count(P))
+  for (BasicBlock *P : Snap.preds(L.Header)) {
+    if (InLoop(P))
       continue;
     if (Preheader && Preheader != P)
       return 0;
@@ -295,7 +607,7 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
       return 0;
     for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
       BasicBlock *Succ = T->getSuccessor(S);
-      if (L.Blocks.count(Succ))
+      if (InLoop(Succ))
         continue;
       if (CondBlock && (CondBlock != BB || Exit != Succ))
         return 0; // multiple exit edges
@@ -312,18 +624,20 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
         return 0;
 
   auto dominatesAllBackSources = [&](BasicBlock *BB) {
-    for (BasicBlock *BS : L.BackSources) {
-      auto It = Dom.find(BS);
-      if (It == Dom.end() || !It->second.count(BB))
+    for (BasicBlock *BS : L.BackSources)
+      if (!Snap.dominates(BB, BS))
         return false;
-    }
     return true;
   };
 
   std::vector<BasicBlock *> LoopRPO;
-  for (BasicBlock *BB : RPO)
-    if (L.Blocks.count(BB))
+  for (BasicBlock *BB : L.Blocks)
+    if (Snap.reachable(BB))
       LoopRPO.push_back(BB);
+  std::sort(LoopRPO.begin(), LoopRPO.end(),
+            [&](BasicBlock *A, BasicBlock *B) {
+              return Snap.rpoNumber(A) < Snap.rpoNumber(B);
+            });
 
   // Candidate discovery: pointers accessed directly (no GEP) inside the
   // loop whose object identity is exact.
@@ -347,19 +661,15 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
   };
   for (BasicBlock *BB : LoopRPO)
     for (const auto &IP : BB->instructions()) {
+      Value *P = accessed(IP);
+      if (!P || !isPromotableObject(P))
+        continue;
+      Candidate &C = candFor(P);
       if (IP->getOpcode() == Opcode::Load) {
-        Value *P = IP->getOperand(0);
-        if (!isPromotableObject(P))
-          continue;
-        Candidate &C = candFor(P);
         if (C.Ty && C.Ty != IP->getType())
           C.Bad = true;
         C.Ty = IP->getType();
-      } else if (IP->getOpcode() == Opcode::Store) {
-        Value *P = IP->getOperand(1);
-        if (!isPromotableObject(P))
-          continue;
-        Candidate &C = candFor(P);
+      } else {
         const IRType *VTy = IP->getOperand(0)->getType();
         if (C.Ty && C.Ty != VTy)
           C.Bad = true;
@@ -375,32 +685,21 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
   // a different object.
   for (BasicBlock *BB : L.Blocks)
     for (const auto &IP : BB->instructions()) {
-      Value *P = nullptr;
-      if (IP->getOpcode() == Opcode::Load)
-        P = IP->getOperand(0);
-      else if (IP->getOpcode() == Opcode::Store)
-        P = IP->getOperand(1);
-      else
+      Value *P = accessed(IP);
+      if (!P)
         continue;
-      Value *Base = baseObject(P);
-      bool Distinct = ir_dyn_cast<GlobalVariable>(Base) ||
-                      (ir_dyn_cast<Instruction>(Base) &&
-                       ir_cast<Instruction>(Base)->getOpcode() ==
-                           Opcode::Alloca);
+      Value *Base = baseObject(P, Resolve);
+      bool Distinct = ir_dyn_cast<GlobalVariable>(Base) || isAlloca(Base);
       for (auto &[G, C] : Cands)
         if (P != G && (!Distinct || Base == G))
           C.Bad = true;
     }
 
+  // This promotion's replacements. Its own scans read operands as they
+  // stand before it (through earlier promotions' replacements only).
   unsigned Promoted = 0;
-  std::map<Value *, Value *> Replace;
-  auto Resolve = [&Replace](Value *V) {
-    for (auto It = Replace.find(V); It != Replace.end();
-         It = Replace.find(V))
-      V = It->second;
-    return V;
-  };
-  std::set<const Instruction *> Erase;
+  std::unordered_map<Value *, Value *> NewReplace;
+  std::vector<Instruction *> NewErased, NewInsts;
 
   // Writebacks land in a dedicated block on the exit edge, so they run
   // exactly once per loop execution even when the exit target has other
@@ -443,9 +742,9 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
       for (BasicBlock *BB : LoopRPO)
         for (const auto &IP : BB->instructions())
           if (IP->getOpcode() == Opcode::Load && IP.get() != Pre &&
-              IP->getOperand(0) == G) {
-            Replace[IP.get()] = Pre;
-            Erase.insert(IP.get());
+              accessed(IP) == G) {
+            NewReplace[IP.get()] = Pre;
+            NewErased.push_back(IP.get());
           }
       ++Promoted;
       continue;
@@ -457,8 +756,8 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
     std::map<BasicBlock *, std::vector<BasicBlock *>> InPreds;
     for (BasicBlock *BB : LoopRPO) {
       std::vector<BasicBlock *> Preds;
-      for (BasicBlock *P : BB->predecessors())
-        if (L.Blocks.count(P) &&
+      for (BasicBlock *P : Snap.preds(BB))
+        if (InLoop(P) &&
             std::find(Preds.begin(), Preds.end(), P) == Preds.end())
           Preds.push_back(P);
       InPreds[BB] = Preds;
@@ -473,14 +772,13 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
       Value *Cur = PhiAt.count(BB) ? static_cast<Value *>(PhiAt[BB])
                                    : EndVal[InPreds[BB].front()];
       for (const auto &IP : BB->instructions()) {
-        if (IP->getOpcode() == Opcode::Load && IP->getOperand(0) == G) {
-          Replace[IP.get()] = Cur;
-          Erase.insert(IP.get());
-        } else if (IP->getOpcode() == Opcode::Store &&
-                   IP->getOperand(1) == G) {
-          Cur = IP->getOperand(0);
-          Erase.insert(IP.get());
-        }
+        if (accessed(IP) != G)
+          continue;
+        if (IP->getOpcode() == Opcode::Load)
+          NewReplace[IP.get()] = Cur;
+        else
+          Cur = resolve(IP->getOperand(0));
+        NewErased.push_back(IP.get());
       }
       EndVal[BB] = Cur;
     }
@@ -500,90 +798,86 @@ unsigned promoteInLoop(Function &F, const NaturalLoop &L,
         }
       }
       Phi->setOperands(std::move(Ops));
+      NewInsts.push_back(Phi);
     }
     auto WB = std::make_unique<Instruction>(
         Opcode::Store, IRType::getVoid(),
         std::vector<Value *>{EndVal[CondBlock], G});
     BasicBlock *WBB = writebackBlock();
-    WBB->insertAt(WBB->size() - 1, std::move(WB));
+    NewInsts.push_back(WBB->insertAt(WBB->size() - 1, std::move(WB)));
     ++Promoted;
   }
 
   if (Promoted == 0)
     return 0;
-  for (const auto &BB : F.blocks())
-    for (const auto &IP : BB->instructions())
-      for (unsigned K = 0; K < IP->getNumOperands(); ++K)
-        IP->setOperand(K, Resolve(IP->getOperand(K)));
-  for (const auto &BB : F.blocks())
-    for (std::size_t Idx = BB->size(); Idx-- > 0;)
-      if (Erase.count(BB->instructions()[Idx].get()))
-        BB->erase(Idx);
+
+  // Loops to try again: those holding a block this promotion changed
+  // (its own blocks, the preheader, the split exit edge) or a user of a
+  // load it replaced.
+  std::set<unsigned> Dirty;
+  for (BasicBlock *BB : L.Blocks)
+    markLoopsOf(BB, Dirty);
+  markLoopsOf(Preheader, Dirty);
+  markLoopsOf(Exit, Dirty);
+
+  bool AllocaUseErased = false;
+  for (Instruction *I : NewErased) {
+    Erased.insert(I);
+    if (I->getOpcode() == Opcode::Store && isAlloca(resolve(I->getOperand(0))))
+      AllocaUseErased = true;
+  }
+  for (Instruction *I : NewInsts)
+    noteUses(I);
+  Replace.insert(NewReplace.begin(), NewReplace.end());
+  for (const auto &[Old, New] : NewReplace) {
+    std::vector<Instruction *> &OldUsers = Users[Old];
+    std::vector<Instruction *> Work = OldUsers;
+    std::set<Instruction *> Seen;
+    while (!Work.empty()) {
+      Instruction *U = Work.back();
+      Work.pop_back();
+      if (!Seen.insert(U).second)
+        continue;
+      markLoopsOf(U->getParent(), Dirty);
+      if (U->getOpcode() == Opcode::GEP)
+        for (Instruction *UU : Users[U])
+          Work.push_back(UU);
+    }
+    // The users now read the replacement, which a later promotion may
+    // replace in turn.
+    auto *Final = ir_dyn_cast<Instruction>(resolve(Old));
+    if (Final && (Final->getOpcode() == Opcode::Load ||
+                  Final->getOpcode() == Opcode::GEP)) {
+      std::vector<Instruction *> &FinalUsers = Users[Final];
+      FinalUsers.insert(FinalUsers.end(), OldUsers.begin(), OldUsers.end());
+    }
+  }
+
+  // Erasing a store whose value was an alloca may leave that alloca
+  // without an escaping use; any loop may then promote it.
+  if (AllocaUseErased) {
+    auto NowSafe = nonEscapingAllocas();
+    if (NowSafe != SafeAllocas) {
+      SafeAllocas = std::move(NowSafe);
+      for (unsigned K = 0; K < Snap.loops().size(); ++K)
+        Dirty.insert(K);
+    }
+  }
+
+  // Loop sizes key the queue: take the dirty loops out before the split
+  // grows the ones holding the exit.
+  for (unsigned K : Dirty)
+    Queue.erase(K);
+  if (WBBlock)
+    Snap.splitEdge(CondBlock, Exit, WBBlock);
+  Queue.insert(Dirty.begin(), Dirty.end());
   return Promoted;
 }
 
 unsigned promoteScalarsInFunction(Function &F) {
   if (F.isDeclaration())
     return 0;
-  unsigned Promoted = 0;
-  bool Changed = true;
-  // Each promotion may split an exit edge, so analyses are recomputed
-  // after every transformed loop. Innermost loops go first: an
-  // accumulator promoted out of an inner loop reappears (as the
-  // inserted preheader load / writeback store) inside the enclosing
-  // loop and is hoisted again on the next sweep. Accesses only ever
-  // move outward through the nest, so this terminates.
-  while (Changed) {
-    Changed = false;
-    std::vector<BasicBlock *> RPO = rpoOrder(F);
-    auto Dom = computeDominators(F, RPO);
-
-    // Natural loops: back edges B->H where H dominates B; bodies by
-    // backward reachability from B stopping at H.
-    std::map<BasicBlock *, NaturalLoop> Loops;
-    for (BasicBlock *BB : RPO) {
-      Instruction *T = BB->getTerminator();
-      if (!T)
-        continue;
-      for (unsigned S = 0; S < T->getNumSuccessors(); ++S) {
-        BasicBlock *H = T->getSuccessor(S);
-        if (!Dom[BB].count(H))
-          continue;
-        NaturalLoop &L = Loops[H];
-        L.Header = H;
-        L.BackSources.push_back(BB);
-        L.Blocks.insert(H);
-        std::vector<BasicBlock *> Work = {BB};
-        while (!Work.empty()) {
-          BasicBlock *Cur = Work.back();
-          Work.pop_back();
-          if (!L.Blocks.insert(Cur).second)
-            continue;
-          for (BasicBlock *P : Cur->predecessors())
-            Work.push_back(P);
-        }
-      }
-    }
-
-    std::vector<const NaturalLoop *> Order;
-    for (const auto &[H, L] : Loops)
-      Order.push_back(&L);
-    std::sort(Order.begin(), Order.end(),
-              [](const NaturalLoop *A, const NaturalLoop *B) {
-                if (A->Blocks.size() != B->Blocks.size())
-                  return A->Blocks.size() < B->Blocks.size();
-                return A->Header->getName() < B->Header->getName();
-              });
-
-    std::set<const Value *> SafeAllocas = nonEscapingAllocas(F);
-    for (const NaturalLoop *L : Order)
-      if (unsigned N = promoteInLoop(F, *L, Dom, RPO, SafeAllocas)) {
-        Promoted += N;
-        Changed = true;
-        break; // CFG may have changed: re-analyze
-      }
-  }
-  return Promoted;
+  return ScalarPromoter(F).run();
 }
 
 } // namespace
@@ -600,28 +894,39 @@ unsigned runDCE(Module &M) {
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      // Count uses.
-      std::map<const Value *, unsigned> Uses;
-      for (const auto &BB : F->blocks())
-        for (const auto &I : BB->instructions())
-          for (const Value *Op : I->operands())
-            ++Uses[Op];
-      for (const auto &BB : F->blocks()) {
-        for (std::size_t Idx = BB->size(); Idx-- > 0;) {
-          const Instruction *I = BB->instructions()[Idx].get();
-          if (hasSideEffects(*I) || I->getType()->isVoid())
-            continue;
-          if (Uses[I] == 0) {
-            BB->erase(Idx);
-            ++Removed;
-            Changed = true;
-          }
-        }
+    // Count uses once; erasing an instruction releases its operands'
+    // uses, and whatever drops to zero is erased in turn.
+    std::unordered_map<const Value *, unsigned> Uses;
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        for (const Value *Op : I->operands())
+          ++Uses[Op];
+    auto Removable = [&](const Instruction *I) {
+      return !hasSideEffects(*I) && !I->getType()->isVoid() &&
+             Uses[I] == 0;
+    };
+    std::unordered_set<const Instruction *> Dead;
+    std::vector<const Instruction *> Work;
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (Removable(I.get()))
+          Work.push_back(I.get());
+    while (!Work.empty()) {
+      const Instruction *I = Work.back();
+      Work.pop_back();
+      if (!Dead.insert(I).second)
+        continue;
+      for (const Value *Op : I->operands()) {
+        const auto *OpI = ir_dyn_cast<Instruction>(Op);
+        if (--Uses[Op] == 0 && OpI && Removable(OpI))
+          Work.push_back(OpI);
       }
     }
+    if (Dead.empty())
+      continue;
+    for (const auto &BB : F->blocks())
+      BB->eraseIf([&](const Instruction *I) { return Dead.count(I); });
+    Removed += static_cast<unsigned>(Dead.size());
   }
   return Removed;
 }

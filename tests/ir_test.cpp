@@ -70,6 +70,50 @@ TEST(IRTest, BlockPredecessors) {
   EXPECT_EQ(Entry->predecessors().size(), 0u);
 }
 
+// computePredecessors() is the one-scan form of predecessors(): same
+// lists, same order, for every block, on a CFG with a self loop, a
+// conditional branch with both arms to one block, a back edge from a
+// later block, a block reached only from blocks after it, and blocks
+// without predecessors.
+TEST(IRTest, PredecessorMapMatchesPredecessors) {
+  Module M;
+  Function *F = M.createFunction("f", IRType::getVoid(), {});
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Both = F->createBlock("both");
+  BasicBlock *Join = F->createBlock("join");
+  BasicBlock *Late = F->createBlock("late");
+  BasicBlock *Dead = F->createBlock("dead");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder Bld(M);
+  Bld.setInsertPoint(Entry);
+  Bld.createCondBr(M.getI1(true), Loop, Late);
+  Bld.setInsertPoint(Loop);
+  Bld.createCondBr(M.getI1(false), Loop, Both);
+  Bld.setInsertPoint(Both);
+  Bld.createCondBr(M.getI1(true), Join, Join);
+  Bld.setInsertPoint(Join);
+  Bld.createCondBr(M.getI1(true), Exit, Loop);
+  Bld.setInsertPoint(Late);
+  Bld.createBr(Join);
+  Bld.setInsertPoint(Dead);
+  Bld.createBr(Loop);
+  Bld.setInsertPoint(Exit);
+  Bld.createRetVoid();
+
+  PredecessorMap Map = computePredecessors(*F);
+  for (const auto &BB : F->blocks()) {
+    auto It = Map.find(BB.get());
+    std::vector<BasicBlock *> FromMap =
+        It == Map.end() ? std::vector<BasicBlock *>{} : It->second;
+    EXPECT_EQ(FromMap, BB->predecessors()) << BB->getName();
+  }
+  EXPECT_EQ(Map[Loop], (std::vector<BasicBlock *>{Entry, Loop, Join, Dead}));
+  EXPECT_EQ(Map[Join], (std::vector<BasicBlock *>{Both, Late}));
+  EXPECT_EQ(Map.count(Entry), 0u);
+  EXPECT_EQ(Map.count(Dead), 0u);
+}
+
 TEST(IRBuilderTest, ConstantFolding) {
   Module M;
   Function *F = M.createFunction("f", IRType::getI32(), {IRType::getI32()});
