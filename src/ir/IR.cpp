@@ -223,19 +223,25 @@ PredecessorMap computePredecessors(const Function &F) {
   return Preds;
 }
 
-BasicBlock *Function::createBlockAfter(BasicBlock *After,
-                                       std::string BlockName) {
-  auto NewBB = std::make_unique<BasicBlock>(uniquify(std::move(BlockName)));
-  NewBB->setParent(this);
-  BasicBlock *Raw = NewBB.get();
-  if (!After) {
-    Blocks.push_back(std::move(NewBB));
-    return Raw;
+std::vector<BasicBlock *>
+Function::createBlocksAfter(BasicBlock *After,
+                           const std::vector<std::string> &BlockNames) {
+  std::vector<std::unique_ptr<BasicBlock>> New;
+  std::vector<BasicBlock *> Raw;
+  for (const std::string &Name : BlockNames) {
+    New.push_back(std::make_unique<BasicBlock>(uniquify(Name)));
+    New.back()->setParent(this);
+    Raw.push_back(New.back().get());
   }
-  auto It = std::find_if(Blocks.begin(), Blocks.end(),
-                         [After](const auto &B) { return B.get() == After; });
-  assert(It != Blocks.end() && "After block not in function");
-  Blocks.insert(It + 1, std::move(NewBB));
+  auto It = Blocks.end();
+  if (After) {
+    It = std::find_if(Blocks.begin(), Blocks.end(),
+                      [After](const auto &B) { return B.get() == After; });
+    assert(It != Blocks.end() && "After block not in function");
+    ++It;
+  }
+  Blocks.insert(It, std::make_move_iterator(New.begin()),
+                std::make_move_iterator(New.end()));
   return Raw;
 }
 

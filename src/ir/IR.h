@@ -487,8 +487,16 @@ public:
     return Blocks.back().get();
   }
 
-  /// Inserts \p BB after \p After (or at the end when null).
-  BasicBlock *createBlockAfter(BasicBlock *After, std::string BlockName);
+  /// Inserts a block named \p BlockName after \p After (or at the end
+  /// when null).
+  BasicBlock *createBlockAfter(BasicBlock *After, std::string BlockName) {
+    return createBlocksAfter(After, {std::move(BlockName)}).front();
+  }
+  /// Inserts one block per name, in order, after \p After (or at the end
+  /// when null), with one search and one move of the block list.
+  std::vector<BasicBlock *>
+  createBlocksAfter(BasicBlock *After,
+                    const std::vector<std::string> &BlockNames);
 
   /// Removes the block (must have no predecessors except itself).
   void eraseBlock(BasicBlock *BB);

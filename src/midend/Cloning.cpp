@@ -10,16 +10,13 @@ std::vector<BasicBlock *>
 cloneBlocks(Function &F, const std::vector<BasicBlock *> &Blocks,
             ValueMap &VMap, BasicBlock *InsertAfter,
             const std::string &Suffix) {
-  std::vector<BasicBlock *> Clones;
-  BasicBlock *Prev = InsertAfter;
-
   // First create the empty clone blocks so branches can be remapped.
-  for (BasicBlock *BB : Blocks) {
-    BasicBlock *Clone = F.createBlockAfter(Prev, BB->getName() + Suffix);
-    VMap[BB] = Clone;
-    Clones.push_back(Clone);
-    Prev = Clone;
-  }
+  std::vector<std::string> Names;
+  for (BasicBlock *BB : Blocks)
+    Names.push_back(BB->getName() + Suffix);
+  std::vector<BasicBlock *> Clones = F.createBlocksAfter(InsertAfter, Names);
+  for (std::size_t BI = 0; BI < Blocks.size(); ++BI)
+    VMap[Blocks[BI]] = Clones[BI];
 
   // Pass 1: clone the instructions with their original operands and record
   // the mapping. (Operands may reference instructions cloned later — e.g.

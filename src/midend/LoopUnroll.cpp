@@ -3,6 +3,7 @@
 
 #include "midend/Cloning.h"
 
+#include <algorithm>
 #include <cassert>
 #include <set>
 
@@ -33,7 +34,39 @@ struct LoopShape {
   Value *TripCount = nullptr; // cmp bound when phi starts at 0, step 1
 };
 
-bool analyzeLoop(Function &F, Instruction *LatchBr, LoopShape &L) {
+/// The blocks \p BB branches to, each once: the edges
+/// BasicBlock::predecessors() counts.
+std::vector<BasicBlock *> successors(const BasicBlock *BB) {
+  std::vector<BasicBlock *> Succs;
+  if (Instruction *T = BB->getTerminator())
+    for (unsigned S = 0; S < T->getNumSuccessors(); ++S)
+      if (std::find(Succs.begin(), Succs.end(), T->getSuccessor(S)) ==
+          Succs.end())
+        Succs.push_back(T->getSuccessor(S));
+  return Succs;
+}
+
+/// The predecessor lists of one function, built once by
+/// computePredecessors() and kept current across the loops unrolled in
+/// it. Only membership is kept exact: an updated list is no longer in
+/// block order.
+struct PredecessorLists {
+  PredecessorMap Map;
+
+  /// Replaces the edges out of \p BB, which went to \p OldSuccs, with
+  /// the edges of its current terminator.
+  void update(BasicBlock *BB, const std::vector<BasicBlock *> &OldSuccs) {
+    for (BasicBlock *S : OldSuccs) {
+      std::vector<BasicBlock *> &Preds = Map[S];
+      Preds.erase(std::find(Preds.begin(), Preds.end(), BB));
+    }
+    for (BasicBlock *S : successors(BB))
+      Map[S].push_back(BB);
+  }
+};
+
+bool analyzeLoop(Function &F, PredecessorMap &Preds, Instruction *LatchBr,
+                 LoopShape &L) {
   if (LatchBr->getOpcode() != Opcode::Br || LatchBr->isConditionalBr())
     return false;
   L.LatchBr = LatchBr;
@@ -45,10 +78,6 @@ bool analyzeLoop(Function &F, Instruction *LatchBr, LoopShape &L) {
 
   // Collect the loop blocks: backward reachability from the latch,
   // stopping at the header.
-  PredecessorMap Preds = computePredecessors(F);
-  for (BasicBlock *Pred : Preds[L.Header])
-    if (Pred != L.Latch)
-      L.Preheader = Pred;
   std::set<BasicBlock *> InLoop = {L.Header};
   std::vector<BasicBlock *> Work = {L.Latch};
   while (!Work.empty()) {
@@ -61,10 +90,16 @@ bool analyzeLoop(Function &F, Instruction *LatchBr, LoopShape &L) {
       if (!InLoop.count(Pred))
         Work.push_back(Pred);
   }
-  // Keep function order for readable output.
-  for (const auto &BB : F.blocks())
+  // Keep function order for readable output. The preheader is the
+  // header's last predecessor in that order besides the latch.
+  const std::vector<BasicBlock *> &HeaderPreds = Preds[L.Header];
+  for (const auto &BB : F.blocks()) {
     if (InLoop.count(BB.get()))
       L.Blocks.push_back(BB.get());
+    if (BB.get() != L.Latch && std::find(HeaderPreds.begin(), HeaderPreds.end(),
+                                         BB.get()) != HeaderPreds.end())
+      L.Preheader = BB.get();
+  }
 
   // Find the (single) exiting block. Multi-block loop conditions (e.g. the
   // strip-mine conditions "iv < tile && iv < n" built with &&) put the
@@ -149,7 +184,8 @@ void clearMD(Instruction *Br) {
 
 /// Unrolls by chaining K-1 clones of the whole header..latch region; every
 /// copy keeps its exit check ("conditional within the loop" variant).
-void unrollConditionalExit(Function &F, LoopShape &L, unsigned K) {
+void unrollConditionalExit(Function &F, LoopShape &L, unsigned K,
+                           std::vector<BasicBlock *> &NewBlocks) {
   ValueMap PrevMap; // empty = identity (copy 0 is the original)
   BasicBlock *PrevLatch = L.Latch;
   Instruction *PrevLatchBr = L.LatchBr;
@@ -171,6 +207,7 @@ void unrollConditionalExit(Function &F, LoopShape &L, unsigned K) {
         cloneBlocks(F, L.Blocks, VMap, InsertAfter,
                     ".unroll" + std::to_string(J));
     InsertAfter = Clones.back();
+    NewBlocks.insert(NewBlocks.end(), Clones.begin(), Clones.end());
 
     BasicBlock *HeaderClone = ir_cast<BasicBlock>(VMap.at(L.Header));
     auto *LatchClone = ir_cast<BasicBlock>(VMap.at(L.Latch));
@@ -211,6 +248,8 @@ struct UnrollContext {
   Function &F;
   LoopUnrollOptions Opts;
   LoopUnrollStats &Stats;
+  PredecessorLists &Preds;
+  std::vector<BasicBlock *> NewBlocks; // created by the current unroll
 };
 
 void doUnrollWithRemainder(UnrollContext &Ctx, LoopShape &L, unsigned K) {
@@ -223,7 +262,8 @@ void doUnrollWithRemainder(UnrollContext &Ctx, LoopShape &L, unsigned K) {
 
   // 1. Remainder loop: full clone, running [mainTrip, trip).
   ValueMap RemMap;
-  cloneBlocks(F, L.Blocks, RemMap, L.Blocks.back(), ".remainder");
+  Ctx.NewBlocks =
+      cloneBlocks(F, L.Blocks, RemMap, L.Blocks.back(), ".remainder");
   auto *RemHeader = ir_cast<BasicBlock>(RemMap.at(L.Header));
   auto *RemPhi = ir_cast<Instruction>(RemMap.at(L.IVPhi));
   auto *RemLatch = ir_cast<BasicBlock>(RemMap.at(L.Latch));
@@ -278,6 +318,7 @@ void doUnrollWithRemainder(UnrollContext &Ctx, LoopShape &L, unsigned K) {
     std::vector<BasicBlock *> Clones = cloneBlocks(
         F, BodyRegion, VMap, InsertAfter, ".unroll" + std::to_string(J));
     InsertAfter = Clones.back();
+    Ctx.NewBlocks.insert(Ctx.NewBlocks.end(), Clones.begin(), Clones.end());
     auto *BodyClone = ir_cast<BasicBlock>(VMap.at(L.BodyEntry));
     auto *LatchClone = ir_cast<BasicBlock>(VMap.at(L.Latch));
     Instruction *LatchCloneBr = LatchClone->getTerminator();
@@ -319,7 +360,7 @@ void doUnrollWithRemainder(UnrollContext &Ctx, LoopShape &L, unsigned K) {
 void processLoop(UnrollContext &Ctx, Instruction *LatchBr) {
   LoopMetadata MD = LatchBr->LoopMD;
   LoopShape L;
-  if (!analyzeLoop(Ctx.F, LatchBr, L)) {
+  if (!analyzeLoop(Ctx.F, Ctx.Preds.Map, LatchBr, L)) {
     ++Ctx.Stats.LoopsSkipped;
     LatchBr->LoopMD.UnrollDisable = true;
     return;
@@ -373,10 +414,18 @@ void processLoop(UnrollContext &Ctx, Instruction *LatchBr) {
     break;
   }
 
+  // Only the loop's own blocks and the clones change their terminators.
+  std::vector<std::vector<BasicBlock *>> OldSuccs;
+  for (BasicBlock *BB : L.Blocks)
+    OldSuccs.push_back(successors(BB));
   if (UseRemainder)
     doUnrollWithRemainder(Ctx, L, K);
   else
-    unrollConditionalExit(Ctx.F, L, K);
+    unrollConditionalExit(Ctx.F, L, K, Ctx.NewBlocks);
+  for (std::size_t I = 0; I < L.Blocks.size(); ++I)
+    Ctx.Preds.update(L.Blocks[I], OldSuccs[I]);
+  for (BasicBlock *BB : Ctx.NewBlocks)
+    Ctx.Preds.update(BB, {});
   ++Ctx.Stats.LoopsUnrolled;
 }
 
@@ -387,6 +436,7 @@ LoopUnrollStats runLoopUnroll(Module &M, const LoopUnrollOptions &Opts) {
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
+    PredecessorLists Preds{computePredecessors(*F)};
     // One scan in block order. Processing a loop inserts its clones after
     // the latch being visited and leaves that latch unannotated; no block
     // before it changes its terminator. So the scan goes on from there
@@ -404,7 +454,7 @@ LoopUnrollStats runLoopUnroll(Module &M, const LoopUnrollOptions &Opts) {
         // Only vectorize hints: nothing for this pass.
         continue;
       }
-      UnrollContext Ctx{M, *F, Opts, Stats};
+      UnrollContext Ctx{M, *F, Opts, Stats, Preds, {}};
       processLoop(Ctx, Term);
     }
   }

@@ -812,18 +812,25 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
     return 0;
 
   // Loops to try again: those holding a block this promotion changed
-  // (its own blocks, the preheader, the split exit edge) or a user of a
-  // load it replaced.
+  // (its own blocks, the preheader, the split exit edge), a user of a
+  // load it replaced, or all of them when an alloca stopped escaping.
+  // Loop sizes key the queue, so the loops holding the exit, which the
+  // split grows, leave it first.
   std::set<unsigned> Dirty;
   for (BasicBlock *BB : L.Blocks)
     markLoopsOf(BB, Dirty);
   markLoopsOf(Preheader, Dirty);
   markLoopsOf(Exit, Dirty);
+  for (unsigned K : Dirty)
+    Queue.erase(K);
+  if (WBBlock)
+    Snap.splitEdge(CondBlock, Exit, WBBlock);
 
   bool AllocaUseErased = false;
   for (Instruction *I : NewErased) {
     Erased.insert(I);
-    if (I->getOpcode() == Opcode::Store && isAlloca(resolve(I->getOperand(0))))
+    if (I->getOpcode() == Opcode::Store &&
+        isAlloca(resolve(I->getOperand(0))))
       AllocaUseErased = true;
   }
   for (Instruction *I : NewInsts)
@@ -863,13 +870,6 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
         Dirty.insert(K);
     }
   }
-
-  // Loop sizes key the queue: take the dirty loops out before the split
-  // grows the ones holding the exit.
-  for (unsigned K : Dirty)
-    Queue.erase(K);
-  if (WBBlock)
-    Snap.splitEdge(CondBlock, Exit, WBBlock);
   Queue.insert(Dirty.begin(), Dirty.end());
   return Promoted;
 }
