@@ -9,8 +9,14 @@
 //   CodeGen     AST -> IR
 //   Midend      LoopUnroll + SimplifyCFG + DCE
 //
+// BM_MidendNestScaling times the -O1 mid-end alone on E17's recovery
+// program with 1 to 16 pragma nests in one function. Every layer must
+// scale linearly, so t(16)/t(8) should stay near 2; the CI gate
+// scripts/midend_scaling_gate.py fails the build above 2.5.
+//
 //===----------------------------------------------------------------------===//
 #include "BenchUtils.h"
+#include "RecoverySource.h"
 
 #include "lex/Preprocessor.h"
 
@@ -97,6 +103,35 @@ void BM_Midend(benchmark::State &State) {
   State.counters["loops"] = static_cast<double>(State.range(0));
 }
 BENCHMARK(BM_Midend)->Arg(10)->Arg(100);
+
+void BM_MidendNestScaling(benchmark::State &State) {
+  const auto Nests = static_cast<unsigned>(State.range(0));
+  std::string Source = bench::recoverySource(0, Nests);
+  midend::PipelineStats Stats;
+  for (auto _ : State) {
+    State.PauseTiming();
+    auto CI = bench::compileOrDie(Source);
+    State.ResumeTiming();
+    Stats = midend::runDefaultPipeline(*CI->getIRModule());
+    benchmark::DoNotOptimize(Stats.ScalarsPromoted);
+    State.PauseTiming();
+    CI.reset(); // tearing the module down is not mid-end time
+    State.ResumeTiming();
+  }
+  State.counters["nests"] = Nests;
+  State.counters["loops_unrolled"] = Stats.Unroll.LoopsUnrolled;
+  State.counters["blocks_simplified"] = Stats.BlocksSimplified;
+  State.counters["loads_forwarded"] = Stats.LoadsForwarded;
+  State.counters["scalars_promoted"] = Stats.ScalarsPromoted;
+  State.counters["insts_dced"] = Stats.InstructionsDCEd;
+}
+BENCHMARK(BM_MidendNestScaling)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WholePipeline(benchmark::State &State) {
   std::string Source = makeTU(static_cast<unsigned>(State.range(0)));
