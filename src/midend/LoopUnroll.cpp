@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <set>
 
 namespace mcc::midend {
@@ -436,7 +437,7 @@ LoopUnrollStats runLoopUnroll(Module &M, const LoopUnrollOptions &Opts) {
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
-    PredecessorLists Preds{computePredecessors(*F)};
+    std::optional<PredecessorLists> Preds; // built at the first loop
     // One scan in block order. Processing a loop inserts its clones after
     // the latch being visited and leaves that latch unannotated; no block
     // before it changes its terminator. So the scan goes on from there
@@ -454,7 +455,9 @@ LoopUnrollStats runLoopUnroll(Module &M, const LoopUnrollOptions &Opts) {
         // Only vectorize hints: nothing for this pass.
         continue;
       }
-      UnrollContext Ctx{M, *F, Opts, Stats, Preds, {}};
+      if (!Preds)
+        Preds = PredecessorLists{computePredecessors(*F)};
+      UnrollContext Ctx{M, *F, Opts, Stats, *Preds, {}};
       processLoop(Ctx, Term);
     }
   }

@@ -471,14 +471,15 @@ bool isAlloca(const Value *V) {
 class ScalarPromoter {
 public:
   explicit ScalarPromoter(Function &F)
-      : F(F), Snap(F), Queue(LoopOrder{&Snap}) {
+      : F(F), Snap(F), Queue(LoopOrder{&Snap}) {}
+
+  unsigned run() {
+    if (Snap.loops().empty())
+      return 0;
     SafeAllocas = nonEscapingAllocas();
     for (const auto &BB : F.blocks())
       for (const auto &IP : BB->instructions())
         noteUses(IP.get());
-  }
-
-  unsigned run() {
     for (unsigned K = 0; K < Snap.loops().size(); ++K)
       Queue.insert(K);
     unsigned Promoted = 0;
