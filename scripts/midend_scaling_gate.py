@@ -59,7 +59,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("binary", nargs="?", help="path to bench_pipeline")
     ap.add_argument("--json", help="read results from this file instead")
-    ap.add_argument("--repetitions", type=int, default=5)
+    ap.add_argument("--repetitions", type=int, default=7)
     ap.add_argument("--max-ratio", type=float, default=2.5)
     args = ap.parse_args()
     if bool(args.binary) == bool(args.json):

@@ -73,16 +73,18 @@ bool hasSideEffects(const Instruction &I) {
   }
 }
 
+bool isAlloca(const Value *V) {
+  const auto *I = ir_dyn_cast<Instruction>(V);
+  return I && I->getOpcode() == Opcode::Alloca;
+}
+
 /// A pointer SSA value whose object identity is known exactly: two
 /// distinct such values never alias (distinct allocas are distinct
 /// storage, allocas are not globals, and distinct globals are distinct).
 /// GEP results and loaded pointers stay "unknown" and are handled
 /// conservatively.
 bool isDistinctObject(const Value *V) {
-  if (ir_dyn_cast<GlobalVariable>(V))
-    return true;
-  const auto *I = ir_dyn_cast<Instruction>(V);
-  return I && I->getOpcode() == Opcode::Alloca;
+  return ir_dyn_cast<GlobalVariable>(V) || isAlloca(V);
 }
 
 unsigned forwardLoadsInFunction(Function &F) {
@@ -218,15 +220,16 @@ public:
   void splitEdge(BasicBlock *C, BasicBlock *E, BasicBlock *W) {
     unsigned NC = id(C), NE = id(E), NW = addNode(W);
     Nodes[NW].Preds = {C};
-    // W is the only block between C and its old block-order neighbour,
-    // so it takes C's slot.
+    // E's list is in block order and W sits right after C, so W takes
+    // C's slot.
     std::replace(Nodes[NE].Preds.begin(), Nodes[NE].Preds.end(), C, W);
 
     if (Nodes[NC].RPONum != None)
       insertIntoRPO(NC, NE, NW);
 
-    // W is on a loop's block list exactly when E is and W is not the
-    // header's entry edge, i.e. C->E was not a back edge of that loop.
+    // W joins every loop holding E, except a loop headed by E that C->E
+    // enters from outside. Where C->E was a back edge, W replaces C as
+    // its source.
     for (unsigned K : Nodes[NE].Loops) {
       Loop &L = Loops[K];
       auto BS = std::find(L.BackSources.begin(), L.BackSources.end(), C);
@@ -404,7 +407,7 @@ private:
         BasicBlock *Succ = T->getSuccessor(S);
         if (Succ == W.BB)
           break;
-        if (Succ != E.BB && Nodes[id(Succ)].DFSParent == NC)
+        if (Nodes[id(Succ)].DFSParent == NC)
           Pos = Nodes[id(Succ)].RPONum;
       }
     }
@@ -441,11 +444,6 @@ template <typename ResolveFn> Value *baseObject(Value *V, ResolveFn Resolve) {
   return V;
 }
 
-bool isAlloca(const Value *V) {
-  const auto *I = ir_dyn_cast<Instruction>(V);
-  return I && I->getOpcode() == Opcode::Alloca;
-}
-
 /// Promotes scalars that live in memory (globals and non-escaping
 /// allocas) into SSA registers across natural loops: initial load in
 /// the preheader, phis at the header and interior joins, writeback at
@@ -466,8 +464,11 @@ bool isAlloca(const Value *V) {
 /// result is the IR of promoting one loop at a time and re-analysing
 /// the whole function after each: a loop that failed is tried again only
 /// after a promotion touched one of its blocks, the preheader or exit
-/// edge it depends on, a user of a replaced load, or the set of
-/// non-escaping allocas.
+/// edge it depends on, or the set of non-escaping allocas. A replaced
+/// load is read only inside its own loop and by the writebacks on that
+/// loop's exit edge: the front ends reload scalars from memory in every
+/// block, store forwarding stays within a block, and promotion puts its
+/// own phis and writebacks there.
 class ScalarPromoter {
 public:
   explicit ScalarPromoter(Function &F)
@@ -477,9 +478,6 @@ public:
     if (Snap.loops().empty())
       return 0;
     SafeAllocas = nonEscapingAllocas();
-    for (const auto &BB : F.blocks())
-      for (const auto &IP : BB->instructions())
-        noteUses(IP.get());
     for (unsigned K = 0; K < Snap.loops().size(); ++K)
       Queue.insert(K);
     unsigned Promoted = 0;
@@ -518,16 +516,6 @@ private:
     for (auto It = Replace.find(V); It != Replace.end(); It = Replace.find(V))
       V = It->second;
     return V;
-  }
-
-  /// Records \p I as a user of its load and GEP operands: replacing such
-  /// a load changes what \p I (and, through GEPs, its users) access.
-  void noteUses(Instruction *I) {
-    for (Value *Op : I->operands())
-      if (auto *OpI = ir_dyn_cast<Instruction>(Op))
-        if (OpI->getOpcode() == Opcode::Load ||
-            OpI->getOpcode() == Opcode::GEP)
-          Users[OpI].push_back(I);
   }
 
   /// An alloca is promotable storage only if its address never escapes:
@@ -569,7 +557,6 @@ private:
   std::unordered_set<const Value *> SafeAllocas;
   std::unordered_map<Value *, Value *> Replace; // replaced load -> value
   std::unordered_set<const Instruction *> Erased;
-  std::unordered_map<const Value *, std::vector<Instruction *>> Users;
 };
 
 unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
@@ -690,7 +677,7 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
       if (!P)
         continue;
       Value *Base = baseObject(P, Resolve);
-      bool Distinct = ir_dyn_cast<GlobalVariable>(Base) || isAlloca(Base);
+      bool Distinct = isDistinctObject(Base);
       for (auto &[G, C] : Cands)
         if (P != G && (!Distinct || Base == G))
           C.Bad = true;
@@ -700,7 +687,7 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
   // stand before it (through earlier promotions' replacements only).
   unsigned Promoted = 0;
   std::unordered_map<Value *, Value *> NewReplace;
-  std::vector<Instruction *> NewErased, NewInsts;
+  std::vector<Instruction *> NewErased;
 
   // Writebacks land in a dedicated block on the exit edge, so they run
   // exactly once per loop execution even when the exit target has other
@@ -799,13 +786,12 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
         }
       }
       Phi->setOperands(std::move(Ops));
-      NewInsts.push_back(Phi);
     }
     auto WB = std::make_unique<Instruction>(
         Opcode::Store, IRType::getVoid(),
         std::vector<Value *>{EndVal[CondBlock], G});
     BasicBlock *WBB = writebackBlock();
-    NewInsts.push_back(WBB->insertAt(WBB->size() - 1, std::move(WB)));
+    WBB->insertAt(WBB->size() - 1, std::move(WB));
     ++Promoted;
   }
 
@@ -813,10 +799,9 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
     return 0;
 
   // Loops to try again: those holding a block this promotion changed
-  // (its own blocks, the preheader, the split exit edge), a user of a
-  // load it replaced, or all of them when an alloca stopped escaping.
-  // Loop sizes key the queue, so the loops holding the exit, which the
-  // split grows, leave it first.
+  // (its own blocks, the preheader, the split exit edge), or all of them
+  // when an alloca stopped escaping. Loop sizes key the queue, so the
+  // loops holding the exit, which the split grows, leave it first.
   std::set<unsigned> Dirty;
   for (BasicBlock *BB : L.Blocks)
     markLoopsOf(BB, Dirty);
@@ -834,32 +819,7 @@ unsigned ScalarPromoter::promoteInLoop(unsigned LoopIdx) {
         isAlloca(resolve(I->getOperand(0))))
       AllocaUseErased = true;
   }
-  for (Instruction *I : NewInsts)
-    noteUses(I);
   Replace.insert(NewReplace.begin(), NewReplace.end());
-  for (const auto &[Old, New] : NewReplace) {
-    std::vector<Instruction *> &OldUsers = Users[Old];
-    std::vector<Instruction *> Work = OldUsers;
-    std::set<Instruction *> Seen;
-    while (!Work.empty()) {
-      Instruction *U = Work.back();
-      Work.pop_back();
-      if (!Seen.insert(U).second)
-        continue;
-      markLoopsOf(U->getParent(), Dirty);
-      if (U->getOpcode() == Opcode::GEP)
-        for (Instruction *UU : Users[U])
-          Work.push_back(UU);
-    }
-    // The users now read the replacement, which a later promotion may
-    // replace in turn.
-    auto *Final = ir_dyn_cast<Instruction>(resolve(Old));
-    if (Final && (Final->getOpcode() == Opcode::Load ||
-                  Final->getOpcode() == Opcode::GEP)) {
-      std::vector<Instruction *> &FinalUsers = Users[Final];
-      FinalUsers.insert(FinalUsers.end(), OldUsers.begin(), OldUsers.end());
-    }
-  }
 
   // Erasing a store whose value was an alloca may leave that alloca
   // without an escaping use; any loop may then promote it.
