@@ -3,41 +3,40 @@
 
 Runs BM_MidendNestScaling from bench_pipeline (the -O1 mid-end alone on
 E17's recovery program with 1, 2, 4, 8 and 16 pragma nests in one
-function) and fails when the time on 16 nests exceeds --max-ratio (2.5)
+function) and fails when the time on 16 nests exceeds MAX_RATIO (2.5)
 times the time on 8 nests. Both are measured in the same run, so the gate
 does not depend on the host's speed; linear scaling reads 2.0. Each size
 is repeated and its fastest repetition is used, which is the reading
 least disturbed by other load on the host.
 
     python3 scripts/midend_scaling_gate.py build/bench/bench_pipeline
-    python3 scripts/midend_scaling_gate.py --json results.json
 
-The second form checks a google-benchmark JSON file written earlier
-(--benchmark_format=json). Exit status: 0 pass, 1 gate failed, 2 the
-benchmark could not be run or read. Only the standard library is used.
+Exit status: 0 pass, 1 gate failed, 2 the benchmark could not be run or
+read. Only the standard library is used.
 """
 
-import argparse
 import json
 import re
 import subprocess
 import sys
 
 NAME = re.compile(r"^BM_MidendNestScaling/(\d+)$")
+REPETITIONS = 7
+MAX_RATIO = 2.5
 
 
-def run_bench(binary, repetitions):
+def run_bench(binary):
     cmd = [binary, "--benchmark_filter=^BM_MidendNestScaling/",
-           "--benchmark_repetitions=%d" % repetitions,
+           "--benchmark_repetitions=%d" % REPETITIONS,
            "--benchmark_format=json"]
     try:
         out = subprocess.run(cmd, check=True, capture_output=True,
                              text=True).stdout
-    except (OSError, subprocess.CalledProcessError) as err:
+        return json.loads(out)
+    except (OSError, subprocess.CalledProcessError, ValueError) as err:
         print("midend_scaling_gate: cannot run %s: %s" % (binary, err),
               file=sys.stderr)
         sys.exit(2)
-    return json.loads(out)
 
 
 def fastest_ms(results):
@@ -56,27 +55,11 @@ def fastest_ms(results):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("binary", nargs="?", help="path to bench_pipeline")
-    ap.add_argument("--json", help="read results from this file instead")
-    ap.add_argument("--repetitions", type=int, default=7)
-    ap.add_argument("--max-ratio", type=float, default=2.5)
-    args = ap.parse_args()
-    if bool(args.binary) == bool(args.json):
-        ap.error("give either the bench_pipeline binary or --json FILE")
-
-    if args.json:
-        try:
-            with open(args.json) as f:
-                results = json.load(f)
-        except (OSError, ValueError) as err:
-            print("midend_scaling_gate: cannot read %s: %s"
-                  % (args.json, err), file=sys.stderr)
-            return 2
-    else:
-        results = run_bench(args.binary, args.repetitions)
-
-    best = fastest_ms(results)
+    if len(sys.argv) != 2:
+        print("usage: midend_scaling_gate.py PATH/TO/bench_pipeline",
+              file=sys.stderr)
+        return 2
+    best = fastest_ms(run_bench(sys.argv[1]))
     if 8 not in best or 16 not in best:
         print("midend_scaling_gate: BM_MidendNestScaling/8 and /16 missing",
               file=sys.stderr)
@@ -88,9 +71,8 @@ def main():
             nests, ms, int(b.get("scalars_promoted", 0)),
             int(b.get("insts_dced", 0))))
     ratio = best[16][0] / best[8][0]
-    verdict = "ok" if ratio <= args.max_ratio else "FAIL"
-    print("t(16)/t(8) = %.2f (bound %.2f): %s" % (ratio, args.max_ratio,
-                                                  verdict))
+    verdict = "ok" if ratio <= MAX_RATIO else "FAIL"
+    print("t(16)/t(8) = %.2f (bound %.2f): %s" % (ratio, MAX_RATIO, verdict))
     return 0 if verdict == "ok" else 1
 
 
